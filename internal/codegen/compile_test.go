@@ -1,9 +1,11 @@
 package codegen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"github.com/tinysystems/artemis-go/internal/action"
 	"github.com/tinysystems/artemis-go/internal/ir"
 	"github.com/tinysystems/artemis-go/internal/simclock"
 )
@@ -121,8 +123,9 @@ func eventStream(seed int64, n int) []ir.Event {
 // diffStep drives one event through both engines and fails the test on any
 // observable divergence: failures, errors, state index, or variable words.
 // Both engines keep stepping after an error — the partial writes an
-// aborted body leaves behind must match too.
-func diffStep(t *testing.T, m *ir.Machine, env *ir.VolatileEnv, cm *Machine, fr *Frame, sl *VolatileSlots, ev ir.Event) {
+// aborted body leaves behind must match too. It returns the (shared) step
+// error.
+func diffStep(t *testing.T, m *ir.Machine, env *ir.VolatileEnv, cm *Machine, fr *Frame, sl *VolatileSlots, ev ir.Event) error {
 	t.Helper()
 	wantFs, wantErr := ir.Step(m, env, ev)
 	gotFs, gotErr := cm.Step(fr, sl, ev)
@@ -153,6 +156,7 @@ func diffStep(t *testing.T, m *ir.Machine, env *ir.VolatileEnv, cm *Machine, fr 
 			t.Fatalf("%v: var %q divergence: interpreter %#x, compiled %#x", ev, v.Name, bits, got)
 		}
 	}
+	return wantErr
 }
 
 func TestCompiledMatchesInterpreter(t *testing.T) {
@@ -178,6 +182,239 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// genMachine builds a random checked machine for the differential tests.
+// It draws variables of all three persistent types, every unary and binary
+// operator (including / and %), mixed int/float operands and nested If,
+// and, with a fixed share of expressions, deliberately ill-typed shapes:
+// string ordering, non-bool guards and conditions, % on floats, negated
+// bools, and float values narrowed into int variables. Expressions are
+// mostly type-directed so that a good share of events steps cleanly
+// instead of aborting on the first error.
+func genMachine(r *rand.Rand, name string) *ir.Machine {
+	g := &machineGen{r: r}
+	m := &ir.Machine{Name: name, Initial: "S0"}
+	types := []ir.Type{ir.TInt, ir.TFloat, ir.TBool}
+	for i, n := 0, 3+r.Intn(4); i < n; i++ {
+		typ := types[i%len(types)]
+		if i >= len(types) {
+			typ = types[r.Intn(len(types))]
+		}
+		v := ir.VarDecl{Name: fmt.Sprintf("v%d", i), Type: typ}
+		switch typ {
+		case ir.TInt:
+			v.Init = ir.Int(int64(r.Intn(5) - 1))
+		case ir.TFloat:
+			v.Init = ir.Float(float64(r.Intn(9)-2) / 2)
+		case ir.TBool:
+			v.Init = ir.Bool(r.Intn(2) == 0)
+		}
+		m.Vars = append(m.Vars, v)
+	}
+	g.vars = m.Vars
+	nStates := 1 + r.Intn(3)
+	for si := 0; si < nStates; si++ {
+		st := ir.State{Name: fmt.Sprintf("S%d", si)}
+		for ti, n := 0, 1+r.Intn(4); ti < n; ti++ {
+			tr := ir.Transition{
+				Trigger: ir.Trigger(r.Intn(3)),
+				Target:  fmt.Sprintf("S%d", r.Intn(nStates)),
+				Body:    g.stmts(2),
+			}
+			if r.Intn(5) != 0 {
+				tr.Guard = g.cond()
+			}
+			st.Transitions = append(st.Transitions, tr)
+		}
+		m.States = append(m.States, st)
+	}
+	return m
+}
+
+type machineGen struct {
+	r    *rand.Rand
+	vars []ir.VarDecl
+}
+
+// genTasks are the task names genMachine compares against; eventStream
+// draws from a superset, so task guards both match and miss.
+var genTasks = []string{"sample", "send", "work", "div", "trip"}
+
+func (g *machineGen) stmts(depth int) []ir.Stmt {
+	var out []ir.Stmt
+	for i, n := 0, g.r.Intn(4); i < n; i++ {
+		switch k := g.r.Intn(6); {
+		case k < 3:
+			v := g.vars[g.r.Intn(len(g.vars))]
+			want := v.Type
+			if g.r.Intn(6) == 0 {
+				want = ir.TFloat // narrows into int, fails into bool
+			}
+			out = append(out, ir.Assign{Name: v.Name, X: g.expr(want, 3)})
+		case k < 5 && depth > 0:
+			out = append(out, ir.If{Cond: g.cond(), Then: g.stmts(depth - 1), Else: g.stmts(depth - 1)})
+		default:
+			out = append(out, ir.Fail{Action: action.Action(1 + g.r.Intn(int(action.CompletePath))), Path: g.r.Intn(4)})
+		}
+	}
+	return out
+}
+
+// cond is a guard or If condition: a bool expression, or now and then an
+// expression of another type, which must fail Truthy identically.
+func (g *machineGen) cond() ir.Expr {
+	if g.r.Intn(10) == 0 {
+		return g.expr([]ir.Type{ir.TInt, ir.TFloat, ir.TString}[g.r.Intn(3)], 2)
+	}
+	return g.expr(ir.TBool, 3)
+}
+
+func (g *machineGen) leaf(want ir.Type) ir.Expr {
+	var names []string
+	for _, v := range g.vars {
+		if v.Type == want {
+			names = append(names, v.Name)
+		}
+	}
+	switch want {
+	case ir.TInt:
+		names = append(names, "t", "path")
+	case ir.TFloat:
+		names = append(names, "data", "energy")
+	case ir.TString:
+		names = append(names, "task")
+	}
+	if len(names) > 0 && g.r.Intn(3) != 0 {
+		return ir.Ident{Name: names[g.r.Intn(len(names))]}
+	}
+	switch want {
+	case ir.TInt:
+		return ir.Lit{V: ir.Int(int64(g.r.Intn(7) - 2))}
+	case ir.TFloat:
+		return ir.Lit{V: ir.Float(float64(g.r.Intn(11)-3) / 2)}
+	case ir.TBool:
+		return ir.Lit{V: ir.Bool(g.r.Intn(2) == 0)}
+	default:
+		return ir.Lit{V: ir.Str(genTasks[g.r.Intn(len(genTasks))])}
+	}
+}
+
+// expr returns an expression that has type want when it evaluates cleanly,
+// except for the ill-typed shapes it mixes in on purpose.
+func (g *machineGen) expr(want ir.Type, depth int) ir.Expr {
+	r := g.r
+	if depth == 0 || r.Intn(4) == 0 {
+		return g.leaf(want)
+	}
+	if r.Intn(12) == 0 {
+		return g.illTyped(depth - 1)
+	}
+	num := func() ir.Type { return []ir.Type{ir.TInt, ir.TFloat}[r.Intn(2)] }
+	switch want {
+	case ir.TBool:
+		switch r.Intn(6) {
+		case 0:
+			return ir.Unary{Op: "!", X: g.expr(ir.TBool, depth-1)}
+		case 1:
+			return ir.Binary{Op: []string{"&&", "||"}[r.Intn(2)], L: g.expr(ir.TBool, depth-1), R: g.expr(ir.TBool, depth-1)}
+		case 2:
+			return ir.Binary{Op: []string{"<", "<=", ">", ">="}[r.Intn(4)], L: g.expr(num(), depth-1), R: g.expr(num(), depth-1)}
+		case 3:
+			l, rt := num(), num()
+			if r.Intn(3) == 0 {
+				l, rt = ir.TBool, ir.TBool
+			}
+			return ir.Binary{Op: []string{"==", "!="}[r.Intn(2)], L: g.expr(l, depth-1), R: g.expr(rt, depth-1)}
+		case 4:
+			task, lit := ir.Expr(ir.Ident{Name: "task"}), g.leaf(ir.TString)
+			if r.Intn(2) == 0 {
+				task, lit = lit, task
+			}
+			return ir.Binary{Op: []string{"==", "!="}[r.Intn(2)], L: task, R: lit}
+		default:
+			return g.leaf(ir.TBool)
+		}
+	case ir.TInt, ir.TFloat:
+		switch r.Intn(5) {
+		case 0:
+			return ir.Unary{Op: "-", X: g.expr(want, depth-1)}
+		case 1:
+			// Division and modulo can fail at runtime on a zero divisor.
+			op := "/"
+			if want == ir.TInt && r.Intn(2) == 0 {
+				op = "%"
+			}
+			return ir.Binary{Op: op, L: g.expr(want, depth-1), R: g.expr(want, depth-1)}
+		default:
+			l, rt := want, want
+			if want == ir.TFloat {
+				l, rt = num(), num() // mixed operands widen
+			}
+			return ir.Binary{Op: []string{"+", "-", "*"}[r.Intn(3)], L: g.expr(l, depth-1), R: g.expr(rt, depth-1)}
+		}
+	}
+	return g.leaf(want)
+}
+
+// illTyped returns a shape that type-checks structurally but fails (or
+// coerces) at runtime: string ordering, % on floats, negated bools,
+// arithmetic on bools, logic on numbers, string-vs-number equality.
+func (g *machineGen) illTyped(depth int) ir.Expr {
+	any := func() ir.Expr {
+		return g.expr([]ir.Type{ir.TInt, ir.TFloat, ir.TBool, ir.TString}[g.r.Intn(4)], depth)
+	}
+	switch g.r.Intn(6) {
+	case 0:
+		return ir.Binary{Op: []string{"<", ">="}[g.r.Intn(2)], L: g.leaf(ir.TString), R: g.leaf(ir.TString)}
+	case 1:
+		return ir.Binary{Op: "%", L: g.expr(ir.TFloat, depth), R: g.expr(ir.TFloat, depth)}
+	case 2:
+		return ir.Unary{Op: []string{"-", "!"}[g.r.Intn(2)], X: any()}
+	case 3:
+		return ir.Binary{Op: []string{"+", "*", "/"}[g.r.Intn(3)], L: any(), R: any()}
+	case 4:
+		return ir.Binary{Op: []string{"&&", "||"}[g.r.Intn(2)], L: any(), R: any()}
+	default:
+		return ir.Binary{Op: []string{"==", "!="}[g.r.Intn(2)], L: any(), R: any()}
+	}
+}
+
+// genSeeds are the fixed generator seeds behind the random machines the
+// differential tests and the fuzz target step.
+const genSeeds = 200
+
+// TestCompiledMatchesInterpreterRandom holds the closure compiler to the
+// interpreter over generated machines: identical failures, states,
+// variable words and error texts on every event.
+func TestCompiledMatchesInterpreterRandom(t *testing.T) {
+	errs, steps := 0, 0
+	for seed := int64(1); seed <= genSeeds; seed++ {
+		m := genMachine(rand.New(rand.NewSource(seed)), fmt.Sprintf("Gen%d", seed))
+		if err := m.Check(); err != nil {
+			t.Fatalf("seed %d: generated machine does not check: %v", seed, err)
+		}
+		cm, err := CompileMachine(m)
+		if err != nil {
+			t.Fatalf("seed %d: CompileMachine: %v", seed, err)
+		}
+		env := ir.NewVolatileEnv(m)
+		sl, err := NewVolatileSlots(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range eventStream(seed, 200) {
+			if diffStep(t, m, env, cm, sharedFrame, sl, ev) != nil {
+				errs++
+			}
+			steps++
+		}
+	}
+	// Clean and failing steps must both be well represented, or the
+	// comparison is vacuous on one side.
+	if errs == 0 || errs*2 > steps {
+		t.Fatalf("%d of %d steps errored; want some, but under half", errs, steps)
 	}
 }
 
@@ -237,15 +474,23 @@ func TestCompileMachineRejectsUncheckable(t *testing.T) {
 	}
 }
 
+// fuzzGenerated is how many generated machines (genMachine seeds 1..n)
+// follow the hand-written corpus in FuzzStepEquivalence's machine pool.
+const fuzzGenerated = 8
+
 // FuzzStepEquivalence fuzzes event streams through both engines over the
-// whole corpus — the seed corpus runs in tier-1 `go test`, and the weekly
-// deep-chaos job extends it (-fuzz). Any divergence in failures, errors,
-// states, or variable words is a bug in one engine or the other.
+// whole corpus plus fuzzGenerated generated machines — the seed corpus runs
+// in tier-1 `go test`, and the weekly deep-chaos job extends it (-fuzz).
+// Any divergence in failures, errors, states, or variable words is a bug in
+// one engine or the other.
 func FuzzStepEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), []byte("send/50"))
 	f.Add(int64(42), uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(int64(7), uint8(5), []byte("div/0 mod/7 narrow/49.5"))
 	f.Add(int64(-3), uint8(2), []byte{0xff, 0x80, 0x01})
+	for k := 0; k < fuzzGenerated; k++ {
+		f.Add(int64(k), uint8(len(corpus)+k), []byte("sample/1 send/0 trip/-3 work/64 div/2"))
+	}
 	type engine struct {
 		m   *ir.Machine
 		cm  *Machine
@@ -256,6 +501,9 @@ func FuzzStepEquivalence(f *testing.F) {
 	var machines []*ir.Machine
 	for _, tc := range corpus {
 		machines = append(machines, ir.MustParse(tc.src).Machines[0])
+	}
+	for k := int64(1); k <= fuzzGenerated; k++ {
+		machines = append(machines, genMachine(rand.New(rand.NewSource(k)), fmt.Sprintf("Gen%d", k)))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, pick uint8, raw []byte) {
 		m := machines[int(pick)%len(machines)]
