@@ -51,11 +51,3 @@ func Parse(s string) (Action, error) {
 	}
 	return None, fmt.Errorf("unknown onFail action %q (want restartTask, skipTask, restartPath, skipPath, or completePath)", s)
 }
-
-// Max returns the more severe of two actions.
-func Max(a, b Action) Action {
-	if b > a {
-		return b
-	}
-	return a
-}

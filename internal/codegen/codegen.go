@@ -6,9 +6,10 @@
 // statechart-implementation literature.
 //
 // Generated machines implement Stepper, and behave identically to the IR
-// interpreter over any event stream (asserted by tests). The interpreter is
-// what deployments use by default; generated code removes the dispatch
-// overhead, the trade-off the ablation benchmarks quantify.
+// interpreter over any event stream (asserted by tests). Deployments run
+// the closure compiler instead (compile.go), which needs no Go toolchain
+// and so also serves specs compiled at deployment time or swapped over the
+// air; the ablation benchmarks quantify both against the interpreter.
 package codegen
 
 import (

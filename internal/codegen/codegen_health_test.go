@@ -68,16 +68,16 @@ func TestMachineNamesSorted(t *testing.T) {
 }
 
 // TestCompileProgramHealth: the closure compiler must cover every machine of
-// the flagship spec — if any machine silently falls back to the interpreter
-// the hot-path win evaporates without a test noticing.
+// the flagship spec, the program every deployment of it runs.
 func TestCompileProgramHealth(t *testing.T) {
-	p := codegen.CompileProgram(healthProgram(t))
-	if !p.Complete() {
-		for i := 0; i < p.Len(); i++ {
-			if p.Machine(i) == nil {
-				t.Errorf("machine %d did not compile", i)
-			}
+	prog := healthProgram(t)
+	p, err := codegen.CompileProgram(prog)
+	if err != nil {
+		t.Fatalf("health program not compilable: %v", err)
+	}
+	for i, m := range prog.Machines {
+		if cm := p.Machine(i); cm == nil || cm.Name() != m.Name {
+			t.Errorf("machine %d (%s) did not compile in place", i, m.Name)
 		}
-		t.Fatal("health program not fully compilable")
 	}
 }

@@ -151,15 +151,6 @@ type Config struct {
 	// harnesses use it to reconstruct timelines.
 	OnDecision func(ev monitor.Event, d monitor.Decision)
 
-	// InterpretMonitors forces the ARTEMIS monitors through the IR
-	// interpreter. By default the framework installs the closure-compiled
-	// execution engine (codegen.CompileProgram) on every machine it covers —
-	// semantically identical, held so by the differential equivalence tests,
-	// but several times faster and allocation-free in steady state. Machines
-	// the closure compiler cannot handle, and monitor sets installed by an
-	// OTA spec swap, always use the interpreter regardless of this setting.
-	InterpretMonitors bool
-
 	// RemoteMonitors deploys the ARTEMIS monitors on an external wireless
 	// device (§7 "Implementation Alternatives"): the host pays per-event
 	// radio costs instead of on-device evaluation costs.
@@ -434,9 +425,6 @@ func New(cfg Config) (*Framework, error) {
 			return nil, err
 		}
 		mons.SetTracer(tel)
-		if !cfg.InterpretMonitors {
-			mons.UseCompiled(res.Stepper())
-		}
 		var deployed monitor.Interface = mons
 		switch {
 		case cfg.RemoteMonitors && cfg.ContinuationMonitors:

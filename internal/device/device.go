@@ -196,17 +196,6 @@ func (m *MCU) ArmFailureAfter(d simclock.Duration) {
 // DisarmFailure cancels a pending forced failure.
 func (m *MCU) DisarmFailure() { m.failArmed = false }
 
-// ArmCrashAfterWrites forces a power failure once n more NVM write
-// operations have completed, regardless of supply state. Crash explorers
-// use it to enumerate failures at write granularity: after write k the
-// FRAM holds exactly the first k writes. The schedule is one-shot — it is
-// disarmed before the failure is raised, so recovery code runs clean.
-func (m *MCU) ArmCrashAfterWrites(n int) {
-	m.Mem.SetWriteCrashHook(n, func() {
-		panic(PowerFailure{At: m.Clock.Now()})
-	})
-}
-
 // Idle waits for d in a low-power mode: time passes and idle power drains,
 // but no CPU work is performed. Radio backoff and sensor settling use it.
 func (m *MCU) Idle(d simclock.Duration) {

@@ -1,10 +1,11 @@
 // Package examplespecs exposes every runnable example's deployment — graph,
 // property specification, and supply — as a reusable configuration. The
 // examples under examples/ import these definitions instead of duplicating
-// them, and the engine-equivalence harness (engines_test.go at the repo
-// root) builds each case twice, once per monitor execution engine, and
+// them, and the engine-equivalence harness (internal/monitor's
+// engines_test.go) builds each case twice — once on the compiled monitor
+// engine every deployment runs, once on the IR interpreter reference — and
 // asserts byte-identical behaviour. A new example spec added here is
-// automatically held to the compiled-vs-interpreted contract.
+// automatically held to that contract.
 package examplespecs
 
 import (
@@ -28,9 +29,9 @@ import (
 // uninterrupted run performs the identical event and write sequence.
 type Case struct {
 	Name string
-	// Config builds a fresh deployment configuration. Callers may toggle
-	// engine selection (InterpretMonitors), attach OnDecision observers,
-	// etc. before handing it to core.New.
+	// Config builds a fresh deployment configuration. Callers may attach
+	// OnDecision observers, crash hooks, swap settings, etc. before handing
+	// it to core.New.
 	Config func() (core.Config, error)
 }
 

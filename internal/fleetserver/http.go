@@ -9,8 +9,14 @@ import (
 	"github.com/tinysystems/artemis-go/internal/telemetry"
 )
 
+// maxRegisterCount caps the count of one POST /v1/devices. The handler
+// preallocates its response from the count, so an unchecked value from the
+// request body would size an allocation; larger fleets register in batches.
+const maxRegisterCount = 4096
+
 // registerRequest is the POST /v1/devices body. Count registers a batch of
-// identically-specced devices with generated ids (0 means one).
+// identically-specced devices with generated ids (0 means one, at most
+// maxRegisterCount).
 type registerRequest struct {
 	ID    string `json:"id,omitempty"`
 	Spec  string `json:"spec"`
@@ -82,6 +88,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Count <= 0 {
 		req.Count = 1
+	}
+	if req.Count > maxRegisterCount {
+		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: fmt.Sprintf("count %d exceeds the limit of %d per request", req.Count, maxRegisterCount)})
+		return
 	}
 	if req.Count > 1 && req.ID != "" {
 		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "count > 1 requires generated ids (omit id)"})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -87,6 +88,34 @@ func TestHTTPDeviceLifecycle(t *testing.T) {
 	}
 	if rec = doJSON(t, h, "DELETE", "/v1/devices/gh-1", nil); rec.Code != http.StatusNotFound {
 		t.Errorf("double delete: %d, want 404", rec.Code)
+	}
+}
+
+// TestHTTPRegisterRejectsHugeCount: a count from the request body must not
+// size an allocation. An absurd count is a 400, not a makeslice panic, and
+// registers nothing.
+func TestHTTPRegisterRejectsHugeCount(t *testing.T) {
+	if maxRegisterCount < 1024 {
+		t.Fatalf("maxRegisterCount %d is below the 1024-device batches clients send", maxRegisterCount)
+	}
+	s, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, body := range []string{
+		`{"spec":"health","count":9000000000000000000}`,
+		fmt.Sprintf(`{"spec":"health","count":%d}`, maxRegisterCount+1),
+	} {
+		req := httptest.NewRequest("POST", "/v1/devices", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", body, rec.Code, rec.Body)
+		}
+		if n := s.DeviceCount(); n != 0 {
+			t.Errorf("%s: registered %d devices, want 0", body, n)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
-// Differential proof that the closure-compiled monitor engine and the IR
-// interpreter are indistinguishable at system level: every example spec runs
-// through both, asserting byte-identical verdict streams, FSM trajectories,
-// NVM images, and reports — uninterrupted, under injected power failures,
-// and across an over-the-air spec swap (which must fall back to the
-// interpreter). The expression-level counterpart lives in
-// internal/codegen/compile_test.go; this file holds the whole deployment to
-// the same contract.
-package bench
+// Differential proof that the closure-compiled monitor engine, the one every
+// deployment runs, and the IR interpreter, the reference it is held to, are
+// indistinguishable at system level: every example spec runs through both,
+// asserting byte-identical verdict streams, FSM trajectories, NVM images,
+// and reports — uninterrupted, under injected power failures, and across an
+// over-the-air spec swap (whose new monitor set must run compiled too). The
+// expression-level counterpart lives in internal/codegen/compile_test.go;
+// this file holds the whole deployment to the same contract.
+package monitor_test
 
 import (
 	"fmt"
@@ -42,12 +42,15 @@ type engineOutcome struct {
 	engines   map[string]string
 }
 
-// runEngine builds cfg under the chosen engine, runs it to the end, and
-// captures the outcome. crashAfter > 0 injects a power failure after that
-// many persistent write operations, explorePoint-style.
+// runEngine builds cfg under the chosen engine — the interpreter reference
+// when interpret is set, the compiled engine otherwise — runs it to the
+// end, and captures the outcome. crashAfter > 0 injects a power failure
+// after that many persistent write operations, explorePoint-style.
 func runEngine(t *testing.T, cfg core.Config, interpret bool, crashAfter int) engineOutcome {
 	t.Helper()
-	cfg.InterpretMonitors = interpret
+	if interpret {
+		defer monitor.UseReference()()
+	}
 	var decisions []string
 	cfg.OnDecision = func(ev monitor.Event, d monitor.Decision) {
 		decisions = append(decisions, fmt.Sprintf("seq=%d %v -> action=%v path=%d by=%s",
@@ -90,7 +93,7 @@ func runEngine(t *testing.T, cfg core.Config, interpret bool, crashAfter int) en
 	if s := f.Monitors(); s != nil {
 		for _, m := range s.Monitors() {
 			out.states[m.Machine().Name] = m.State()
-			out.engines[m.Machine().Name] = m.Engine()
+			out.engines[m.Machine().Name] = monitor.EngineOf(m)
 		}
 	}
 	return out
@@ -163,7 +166,7 @@ func TestEngineEquivalenceExamples(t *testing.T) {
 			diffOutcomes(t, c.Name, interp, comp)
 			for name, eng := range interp.engines {
 				if eng != "interpreter" {
-					t.Errorf("machine %s: InterpretMonitors run used engine %q", name, eng)
+					t.Errorf("machine %s: reference run used engine %q, want interpreter", name, eng)
 				}
 			}
 			for name, eng := range comp.engines {
@@ -242,12 +245,11 @@ func TestEngineEquivalenceUnderChaos(t *testing.T) {
 	}
 }
 
-// TestOTASwapFallsBackToInterpreter proves the OTA contract: a monitor set
-// installed by an over-the-air spec swap always runs on the interpreter
-// (the closure engine is wired only at deployment build), and the whole
-// swapped run is byte-identical whether the pre-swap monitors ran compiled
-// or interpreted.
-func TestOTASwapFallsBackToInterpreter(t *testing.T) {
+// TestEngineEquivalenceOTASwap extends the contract across an over-the-air
+// spec swap: the monitor set the swap installs is compiled at activation
+// like any other, and the whole swapped run is byte-identical to the
+// interpreter reference, whose swapped set is interpreted too.
+func TestEngineEquivalenceOTASwap(t *testing.T) {
 	v2, err := health.CompiledSharedV2()
 	if err != nil {
 		t.Fatal(err)
@@ -265,15 +267,21 @@ func TestOTASwapFallsBackToInterpreter(t *testing.T) {
 	comp := runEngine(t, build(), false, 0)
 	diffOutcomes(t, "health+swap", interp, comp)
 
-	// Both runs must end on the swapped (interpreter) set.
+	// Each run must end on its own engine: the post-swap set runs
+	// compiled, and the reference interpreted.
 	for name, eng := range comp.engines {
+		if eng != "compiled" {
+			t.Errorf("machine %s: post-swap engine %q, want compiled", name, eng)
+		}
+	}
+	for name, eng := range interp.engines {
 		if eng != "interpreter" {
-			t.Errorf("machine %s: post-swap engine %q, want interpreter", name, eng)
+			t.Errorf("machine %s: reference post-swap engine %q, want interpreter", name, eng)
 		}
 	}
 
-	// And the swap must actually have happened — otherwise the fallback
-	// assertion above is vacuous.
+	// And the swap must actually have happened, with v2's machines in
+	// place — otherwise the assertions above only cover the v1 set.
 	cfg := build()
 	f, err := core.New(cfg)
 	if err != nil {
@@ -284,6 +292,11 @@ func TestOTASwapFallsBackToInterpreter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.OTA() == nil || f.OTA().Stats().Swaps == 0 {
-		t.Fatal("OTA swap did not occur; fallback test is vacuous")
+		t.Fatal("OTA swap did not occur; the swap equivalence is vacuous")
+	}
+	for _, m := range f.Monitors().Monitors() {
+		if v2.Program.Machine(m.Machine().Name) == nil {
+			t.Errorf("machine %s is not part of the swapped-in spec", m.Machine().Name)
+		}
 	}
 }

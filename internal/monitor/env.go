@@ -47,8 +47,9 @@ const (
 // Variable slots are declaration-order word indices resolved by a linear
 // scan of the machine's (small, fixed) variable list: the compiled engine
 // never looks a name up (it pre-resolves indices through codegen.Slots),
-// and the interpreter's scans beat the two per-env maps this used to carry
-// — construction of a deployment no longer allocates any map.
+// and the scans serve only inspection, OTA state migration and the
+// interpreter reference in tests — so construction of a deployment
+// allocates no map.
 type persistentEnv struct {
 	c *nvm.Committed
 	m *ir.Machine

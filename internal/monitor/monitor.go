@@ -32,13 +32,23 @@ type Monitor struct {
 	env     persistentEnv
 	binding transform.Binding
 	tel     *telemetry.Tracer
-	// compiled, when non-nil, steps the machine through the closure-compiled
-	// engine instead of the IR interpreter; frame is its reusable scratch.
-	// Both engines stage identical bytes into the committed region, so the
-	// choice is invisible to everything downstream (see UseCompiled).
-	compiled *codegen.Machine
-	frame    *codegen.Frame
+	// engine steps the machine; frame is its reusable scratch, shared by
+	// the whole set.
+	engine stepper
+	frame  *codegen.Frame
 }
+
+// stepper is a monitor's execution engine. NewSet always installs the
+// closure-compiled *codegen.Machine.
+type stepper interface {
+	Step(fr *codegen.Frame, sl codegen.Slots, ev ir.Event) ([]ir.Failure, error)
+}
+
+// engineFor picks the engine NewSet installs for machine m: its compiled
+// form cm. It is a variable only so that tests can substitute the IR
+// interpreter, the reference the compiled engine is held to
+// (export_test.go).
+var engineFor = func(cm *codegen.Machine, m *ir.Machine) stepper { return cm }
 
 // Machine returns the monitor's state machine definition.
 func (m *Monitor) Machine() *ir.Machine { return m.machine }
@@ -62,17 +72,7 @@ func (m *Monitor) Deliver(ev Event) ([]ir.Failure, error) {
 	if m.tel != nil {
 		before = m.env.State()
 	}
-	var fs []ir.Failure
-	var err error
-	if m.compiled != nil {
-		// The frame is shared by the whole set; tagging the staged event
-		// with its sequence number makes the copy happen once per event,
-		// not once per monitor.
-		m.frame.StageEvent(&ev.Event, ev.Seq)
-		fs, err = m.compiled.StepStaged(m.frame, &m.env)
-	} else {
-		fs, err = ir.Step(m.machine, &m.env, ev.Event)
-	}
+	fs, err := m.engine.Step(m.frame, &m.env, ev.Event)
 	if err != nil {
 		return nil, err
 	}
@@ -133,13 +133,22 @@ type Set struct {
 }
 
 // NewSet allocates persistent state for every machine of a compiled
-// specification. Call Reset once on the very first boot (the paper's
+// specification and installs the closure-compiled machines (res.Stepper)
+// as their engine. Call Reset once on the very first boot (the paper's
 // resetMonitor hard reset); on later boots call Rollback then re-deliver the
 // in-flight event (monitorFinalize).
 func NewSet(mem *nvm.Memory, res *transform.Result) (*Set, error) {
 	if len(res.Program.Machines) != len(res.Bindings) {
 		return nil, fmt.Errorf("monitor: %d machines but %d bindings", len(res.Program.Machines), len(res.Bindings))
 	}
+	prog, err := res.Stepper()
+	if err != nil {
+		return nil, fmt.Errorf("monitor: %w", err)
+	}
+	// One frame serves the whole set: monitors within a set step strictly
+	// sequentially (Deliver iterates them in order), and Step fully resets
+	// the frame's scratch before using it.
+	frame := codegen.NewFrame()
 	// One backing array holds every Monitor of the set; the pointer slice
 	// preserves stable *Monitor identities for inspectors and swaps.
 	backing := make([]Monitor, len(res.Program.Machines))
@@ -151,6 +160,8 @@ func NewSet(mem *nvm.Memory, res *transform.Result) (*Set, error) {
 		}
 		mon.machine = m
 		mon.binding = res.Bindings[i]
+		mon.engine = engineFor(prog.Machine(i), m)
+		mon.frame = frame
 		s.monitors = append(s.monitors, mon)
 	}
 	return s, nil
@@ -158,40 +169,6 @@ func NewSet(mem *nvm.Memory, res *transform.Result) (*Set, error) {
 
 // Monitors returns the set's monitors.
 func (s *Set) Monitors() []*Monitor { return s.monitors }
-
-// UseCompiled installs closure-compiled machines (codegen.CompileProgram of
-// the same transform result, index-parallel with NewSet's machines) as the
-// set's execution engine. Monitors whose slot is nil or whose name does not
-// match keep the interpreter — installation is per-machine and safe to skip.
-// The verdicts, FSM trajectory, and staged NVM bytes are identical either
-// way; only dispatch cost changes.
-func (s *Set) UseCompiled(p *codegen.Program) {
-	// One frame serves the whole set: monitors within a set step strictly
-	// sequentially (Deliver iterates them in order), and Step fully resets
-	// the frame's scratch before using it.
-	var frame *codegen.Frame
-	for i, m := range s.monitors {
-		cm := p.Machine(i)
-		if cm == nil || cm.Name() != m.machine.Name {
-			continue
-		}
-		if frame == nil {
-			frame = codegen.NewFrame()
-		}
-		m.compiled = cm
-		m.frame = frame
-	}
-}
-
-// Engine reports which execution engine steps this monitor: "compiled" or
-// "interpreter". Diagnostic; used by the differential harness to prove OTA
-// fallback.
-func (m *Monitor) Engine() string {
-	if m.compiled != nil {
-		return "compiled"
-	}
-	return "interpreter"
-}
 
 // SetTracer attaches a telemetry tracer to every monitor in the set, which
 // then emits MonitorTransition and PropertyFail events from Deliver. All

@@ -458,7 +458,9 @@ func (m *Manager) verifyAndSwap(now simclock.Time) []ir.Failure {
 	return nil
 }
 
-// prepare builds the new monitor set and migrates live FSM state into it:
+// prepare builds the new monitor set — NewSet compiles the decoded program,
+// so the swapped deployment runs the same engine as the one it replaces —
+// and migrates live FSM state into it:
 // mapped states carry over with their variables and replay bookkeeping;
 // unmapped states reset per-path semantics but still inherit the replay
 // cursor, so the new deployment never re-processes an answered event.

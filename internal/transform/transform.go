@@ -60,14 +60,19 @@ type Result struct {
 // compiling it on first use. The compiled program is immutable and cached on
 // the Result, so shared results (health.CompiledShared and friends) compile
 // once per process however many frameworks they feed. Concurrent first calls
-// may compile twice; both products are equivalent and either may win.
-func (r *Result) Stepper() *codegen.Program {
+// may compile twice; both products are equivalent and either may win. A
+// program that fails to compile is not cached, and fails again on the next
+// call.
+func (r *Result) Stepper() (*codegen.Program, error) {
 	if p := r.stepper.Load(); p != nil {
-		return p
+		return p, nil
 	}
-	p := codegen.CompileProgram(r.Program)
+	p, err := codegen.CompileProgram(r.Program)
+	if err != nil {
+		return nil, err
+	}
 	r.stepper.Store(p)
-	return p
+	return p, nil
 }
 
 // graphInfo adapts a task.Graph (plus the data-variable list) to
