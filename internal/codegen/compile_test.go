@@ -362,7 +362,7 @@ func (g *machineGen) expr(want ir.Type, depth int) ir.Expr {
 // coerces) at runtime: string ordering, % on floats, negated bools,
 // arithmetic on bools, logic on numbers, string-vs-number equality.
 func (g *machineGen) illTyped(depth int) ir.Expr {
-	any := func() ir.Expr {
+	anyExpr := func() ir.Expr {
 		return g.expr([]ir.Type{ir.TInt, ir.TFloat, ir.TBool, ir.TString}[g.r.Intn(4)], depth)
 	}
 	switch g.r.Intn(6) {
@@ -371,13 +371,13 @@ func (g *machineGen) illTyped(depth int) ir.Expr {
 	case 1:
 		return ir.Binary{Op: "%", L: g.expr(ir.TFloat, depth), R: g.expr(ir.TFloat, depth)}
 	case 2:
-		return ir.Unary{Op: []string{"-", "!"}[g.r.Intn(2)], X: any()}
+		return ir.Unary{Op: []string{"-", "!"}[g.r.Intn(2)], X: anyExpr()}
 	case 3:
-		return ir.Binary{Op: []string{"+", "*", "/"}[g.r.Intn(3)], L: any(), R: any()}
+		return ir.Binary{Op: []string{"+", "*", "/"}[g.r.Intn(3)], L: anyExpr(), R: anyExpr()}
 	case 4:
-		return ir.Binary{Op: []string{"&&", "||"}[g.r.Intn(2)], L: any(), R: any()}
+		return ir.Binary{Op: []string{"&&", "||"}[g.r.Intn(2)], L: anyExpr(), R: anyExpr()}
 	default:
-		return ir.Binary{Op: []string{"==", "!="}[g.r.Intn(2)], L: any(), R: any()}
+		return ir.Binary{Op: []string{"==", "!="}[g.r.Intn(2)], L: anyExpr(), R: anyExpr()}
 	}
 }
 
