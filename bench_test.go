@@ -46,7 +46,7 @@ func BenchmarkFigure12(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = experiments.RenderFigure12(rows)
+		out = experiments.TableFigure12(rows).Render()
 	}
 	b.Logf("\n%s", out)
 }
@@ -70,7 +70,7 @@ func BenchmarkFigure14(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = experiments.RenderFigure14(rows)
+		out = experiments.TableFigure14(rows).Render()
 	}
 	b.Logf("\n%s", out)
 }
@@ -82,7 +82,7 @@ func BenchmarkFigure15(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = experiments.RenderFigure15(rows)
+		out = experiments.TableFigure15(rows).Render()
 	}
 	b.Logf("\n%s", out)
 }
@@ -94,7 +94,7 @@ func BenchmarkFigure16(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = experiments.RenderFigure16(rows)
+		out = experiments.TableFigure16(rows).Render()
 	}
 	b.Logf("\n%s", out)
 }
@@ -106,7 +106,7 @@ func BenchmarkTable2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = experiments.RenderTable2(rows)
+		out = experiments.TableTable2(rows).Render()
 	}
 	b.Logf("\n%s", out)
 }
@@ -498,35 +498,6 @@ func BenchmarkNVMHash(b *testing.B) {
 		h ^= mem.Hash()
 	}
 	_ = h
-}
-
-// BenchmarkAblationThreadedMonitor measures the ImmortalThreads-style
-// continuation dispatch (one persistent program-counter write per machine
-// per event) against the commit/replay dispatch of
-// BenchmarkAblationPersistentMonitor.
-func BenchmarkAblationThreadedMonitor(b *testing.B) {
-	res, err := health.New().Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem := nvm.New(256 * 1024)
-	set, err := monitor.NewSet(mem, res)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts, err := monitor.NewThreadedSet(mem, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts.Reset()
-	evs := benchEvents(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := monitor.Event{Event: evs[i%len(evs)], Seq: uint64(i) + 1}
-		if _, err := ts.Deliver(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFleetServerSteps measures the fleet serving layer end to end:

@@ -18,14 +18,10 @@ import (
 	"log"
 
 	"github.com/tinysystems/artemis-go/internal/core"
-	"github.com/tinysystems/artemis-go/internal/health"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/mayflyspec"
-	"github.com/tinysystems/artemis-go/internal/simclock"
-	"github.com/tinysystems/artemis-go/internal/spec"
 	"github.com/tinysystems/artemis-go/internal/trace"
 )
-
-const chargingDelay = 6 * simclock.Minute
 
 func main() {
 	// 1. The legacy source, in Mayfly's edge-constraint style.
@@ -40,9 +36,15 @@ func main() {
 	fmt.Println(legacy.String())
 
 	// 2. Run the translation as-is: Mayfly semantics, Mayfly fate — the
-	//    restart-forever loop under a 6-minute charging delay.
-	fmt.Printf("--- legacy constraints only (%v charging) ---\n", chargingDelay)
-	rep, err := runWith(legacy)
+	//    restart-forever loop under a 6-minute charging delay. The shared
+	//    deployment is reused with only its specification swapped.
+	cfg, err := examplespecs.LegacySpecConfig()
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.SpecSource = legacy.String()
+	fmt.Printf("--- legacy constraints only (%v charging) ---\n", cfg.Supply.Delay)
+	rep, err := run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,24 +57,11 @@ func main() {
 
 	// 3. Mix in ONE native ARTEMIS property — the attempt bound Mayfly's
 	//    language cannot express — without touching the legacy source.
-	augmented, err := mayflyspec.Compile(mayflyspec.HealthSource)
-	if err != nil {
+	if cfg, err = examplespecs.LegacySpecConfig(); err != nil {
 		log.Fatal(err)
 	}
-	for i := range augmented.Blocks {
-		if augmented.Blocks[i].Task != "send" {
-			continue
-		}
-		for j := range augmented.Blocks[i].Props {
-			p := &augmented.Blocks[i].Props[j]
-			if p.Kind == spec.KindMITD {
-				p.MaxAttempt = 3
-				p.MaxAttemptAction = spec.ActionSkipPath
-			}
-		}
-	}
 	fmt.Printf("\n--- legacy constraints + native maxAttempt bound ---\n")
-	rep, err = runWith(augmented)
+	rep, err = run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,16 +73,8 @@ func main() {
 	}
 }
 
-func runWith(s *spec.Spec) (*core.Report, error) {
-	app := health.New()
-	f, err := core.New(core.Config{
-		System:     core.Artemis,
-		Graph:      app.Graph,
-		StoreKeys:  health.Keys(),
-		SpecSource: s.String(),
-		Supply:     core.SupplyConfig{Kind: core.SupplyFixedDelay, BudgetUJ: 800, Delay: chargingDelay},
-		MaxReboots: 80,
-	})
+func run(cfg core.Config) (*core.Report, error) {
+	f, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -17,10 +17,10 @@ import (
 )
 
 func main() {
-	// 1. Decompose the application into atomic tasks with a path
-	//    (examplespecs.QuickstartGraph). Task outputs go to the persistent
-	//    store and are committed atomically at task boundaries — a power
-	//    failure mid-task rolls them back.
+	// 1. Decompose the application into atomic tasks with a path (built
+	//    by examplespecs.QuickstartConfig). Task outputs go to the
+	//    persistent store and are committed atomically at task boundaries —
+	//    a power failure mid-task rolls them back.
 	// 2. State the properties declaratively, separate from the code
 	//    (examplespecs.QuickstartSpec).
 	// 3. Assemble the deployment: ARTEMIS compiles the specification into

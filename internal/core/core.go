@@ -155,10 +155,6 @@ type Config struct {
 	// device (§7 "Implementation Alternatives"): the host pays per-event
 	// radio costs instead of on-device evaluation costs.
 	RemoteMonitors bool
-	// ContinuationMonitors dispatches events through an
-	// ImmortalThreads-style persistent continuation (§4.2.3), the paper's
-	// own mechanism, instead of the default commit/replay dispatch.
-	ContinuationMonitors bool
 	// RadioCost overrides the default BLE-class exchange cost when
 	// RemoteMonitors is set.
 	RadioCost *monitor.RadioCost
@@ -203,8 +199,7 @@ type Config struct {
 	// a versioned, checksummed bundle and delivered chunk-by-chunk over the
 	// monitoring radio link once the runtime's event sequence passes
 	// SwapAt, then activated atomically at a task boundary with live FSM
-	// state migrated per SwapMigration. Incompatible with
-	// ContinuationMonitors (the threaded deployment pins its monitor set).
+	// state migrated per SwapMigration.
 	SwapCompiled *transform.Result
 	// SwapVersion is the bundle's version; defaults to 2 (the factory
 	// image is version 1) and must exceed the installed version.
@@ -426,10 +421,7 @@ func New(cfg Config) (*Framework, error) {
 		}
 		mons.SetTracer(tel)
 		var deployed monitor.Interface = mons
-		switch {
-		case cfg.RemoteMonitors && cfg.ContinuationMonitors:
-			return nil, errors.New("core: RemoteMonitors and ContinuationMonitors are mutually exclusive")
-		case cfg.RemoteMonitors:
+		if cfg.RemoteMonitors {
 			cost := monitor.DefaultRadioCost()
 			if cfg.RadioCost != nil {
 				cost = *cfg.RadioCost
@@ -441,12 +433,6 @@ func New(cfg Config) (*Framework, error) {
 			}
 			f.remote = rem
 			deployed = rem
-		case cfg.ContinuationMonitors:
-			ts, err := monitor.NewThreadedSet(mem, mons)
-			if err != nil {
-				return nil, err
-			}
-			deployed = ts
 		}
 		var otaMgr *ota.Manager
 		var reprog artemis.Reprogrammer
@@ -519,9 +505,6 @@ func New(cfg Config) (*Framework, error) {
 // integrity guards.
 func (f *Framework) buildOTA(cfg Config, mem *nvm.Memory, mcu *device.MCU, tel *telemetry.Tracer,
 	integ *integrity.Manager, deployed monitor.Interface, mons *monitor.Set, res *transform.Result) (*ota.Manager, error) {
-	if cfg.ContinuationMonitors {
-		return nil, errors.New("core: SwapCompiled is incompatible with ContinuationMonitors")
-	}
 	version := cfg.SwapVersion
 	if version == 0 {
 		version = 2

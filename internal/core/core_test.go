@@ -258,39 +258,6 @@ func TestClockJitterRobustness(t *testing.T) {
 	}
 }
 
-func TestContinuationMonitorsEndToEnd(t *testing.T) {
-	// The ImmortalThreads-style dispatch must carry the full benchmark
-	// through intermittent power with identical outcomes.
-	cfg := artemisConfig(SupplyConfig{Kind: SupplyFixedDelay, BudgetUJ: 800, Delay: 6 * simclock.Minute})
-	cfg.ContinuationMonitors = true
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed || rep.NonTerminated {
-		t.Fatalf("continuation run: %+v", rep.RunResult)
-	}
-	if rep.ArtemisStats.PathSkips != 1 {
-		t.Fatalf("PathSkips = %d, want 1", rep.ArtemisStats.PathSkips)
-	}
-	if f.Store().Get("micData") != 1 {
-		t.Fatal("path 3 did not run")
-	}
-}
-
-func TestRemoteAndContinuationMutuallyExclusive(t *testing.T) {
-	cfg := artemisConfig(SupplyConfig{Kind: SupplyContinuous})
-	cfg.RemoteMonitors = true
-	cfg.ContinuationMonitors = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("conflicting deployments accepted")
-	}
-}
-
 func TestRemoteMonitorsEndToEnd(t *testing.T) {
 	cfg := artemisConfig(SupplyConfig{Kind: SupplyContinuous})
 	cfg.RemoteMonitors = true

@@ -40,9 +40,9 @@ func All() []Case {
 	return []Case{
 		{Name: "health", Config: HealthConfig},
 		{Name: "greenhouse", Config: GreenhouseConfig},
-		{Name: "camera", Config: CameraConfig},
+		{Name: "camera", Config: cameraConfig},
 		{Name: "quickstart", Config: QuickstartConfig},
-		{Name: "customir", Config: CustomIRConfig},
+		{Name: "customir", Config: customIRConfig},
 		{Name: "legacyspec", Config: LegacySpecConfig},
 	}
 }
@@ -73,9 +73,9 @@ report {
 }
 `
 
-// QuickstartGraph builds the sample → report application of
+// quickstartGraph builds the sample → report application of
 // examples/quickstart.
-func QuickstartGraph() (*task.Graph, error) {
+func quickstartGraph() (*task.Graph, error) {
 	sample := &task.Task{
 		Name:        "sample",
 		Cycles:      5_000,
@@ -98,20 +98,20 @@ func QuickstartGraph() (*task.Graph, error) {
 	return task.NewGraph(&task.Path{ID: 1, Tasks: []*task.Task{sample, report}})
 }
 
-// QuickstartKeys lists quickstart's store outputs.
-func QuickstartKeys() []string { return []string{"reading", "samples", "reports"} }
+// quickstartKeys lists quickstart's store outputs.
+func quickstartKeys() []string { return []string{"reading", "samples", "reports"} }
 
 // QuickstartConfig is the smallest complete ARTEMIS deployment
 // (examples/quickstart).
 func QuickstartConfig() (core.Config, error) {
-	graph, err := QuickstartGraph()
+	graph, err := quickstartGraph()
 	if err != nil {
 		return core.Config{}, err
 	}
 	return core.Config{
 		System:     core.Artemis,
 		Graph:      graph,
-		StoreKeys:  QuickstartKeys(),
+		StoreKeys:  quickstartKeys(),
 		SpecSource: QuickstartSpec,
 		Supply: core.SupplyConfig{
 			Kind: core.SupplyFixedDelay, BudgetUJ: 700, Delay: 30 * simclock.Second,
@@ -137,11 +137,11 @@ valve {
 }
 `
 
-// GreenhouseGraph builds the soilSense → calcMoisture → valve application
+// greenhouseGraph builds the soilSense → calcMoisture → valve application
 // of examples/greenhouse. The soil starts moist and dries a little with
 // every sample, so a long enough run always ends in the dpData emergency
 // opening the valve.
-func GreenhouseGraph() (*task.Graph, error) {
+func greenhouseGraph() (*task.Graph, error) {
 	soilSense := &task.Task{
 		Name:        "soilSense",
 		Cycles:      3_000,
@@ -184,22 +184,22 @@ func GreenhouseGraph() (*task.Graph, error) {
 	)
 }
 
-// GreenhouseKeys lists the greenhouse node's store outputs.
-func GreenhouseKeys() []string {
+// greenhouseKeys lists the greenhouse node's store outputs.
+func greenhouseKeys() []string {
 	return []string{"lastReading", "readingSum", "sampleCount", "moisture", "irrigations"}
 }
 
 // GreenhouseConfig is the solar-harvesting greenhouse node of
 // examples/greenhouse.
 func GreenhouseConfig() (core.Config, error) {
-	graph, err := GreenhouseGraph()
+	graph, err := greenhouseGraph()
 	if err != nil {
 		return core.Config{}, err
 	}
 	return core.Config{
 		System:     core.Artemis,
 		Graph:      graph,
-		StoreKeys:  GreenhouseKeys(),
+		StoreKeys:  greenhouseKeys(),
 		SpecSource: GreenhouseSpec,
 		Supply: core.SupplyConfig{
 			Kind:         core.SupplyHarvested,
@@ -211,10 +211,10 @@ func GreenhouseConfig() (core.Config, error) {
 	}, nil
 }
 
-// CameraConfig is the §4.2.2 camera node: chunked frame transfer with the
+// cameraConfig is the §4.2.2 camera node: chunked frame transfer with the
 // minEnergy guard, built against the framework's NVM because its chunk
 // queue closes over persistent structures.
-func CameraConfig() (core.Config, error) {
+func cameraConfig() (core.Config, error) {
 	return core.Config{
 		System:     core.Artemis,
 		StoreKeys:  camera.Keys(),
@@ -251,9 +251,9 @@ machine SendAlternation {
 }
 `
 
-// CustomIRResult parses and checks the hand-written machine and wraps it as
+// customIRResult parses and checks the hand-written machine and wraps it as
 // a monitor program, the way artemisgen wraps spec-derived machines.
-func CustomIRResult() (*transform.Result, error) {
+func customIRResult() (*transform.Result, error) {
 	prog, err := ir.Parse(CustomIRSource)
 	if err != nil {
 		return nil, err
@@ -266,12 +266,12 @@ func CustomIRResult() (*transform.Result, error) {
 	}, nil
 }
 
-// CustomIRConfig attaches the hand-written alternation machine to a
+// customIRConfig attaches the hand-written alternation machine to a
 // two-path deployment whose merged "send" task violates the alternation
 // deterministically — path 2 transmits without sampling — so both the
 // restartTask and completePath arms execute.
-func CustomIRConfig() (core.Config, error) {
-	res, err := CustomIRResult()
+func customIRConfig() (core.Config, error) {
+	res, err := customIRResult()
 	if err != nil {
 		return core.Config{}, err
 	}

@@ -75,6 +75,3 @@ func TableAlternatives(rows []AlternativeRow) *trace.Table {
 	}
 	return t
 }
-
-// RenderAlternatives prints the deployment comparison.
-func RenderAlternatives(rows []AlternativeRow) string { return TableAlternatives(rows).Render() }

@@ -45,7 +45,7 @@ func TestFigure12Shape(t *testing.T) {
 				rows[i-1].Artemis.Elapsed, rows[i-1].Charging)
 		}
 	}
-	out := RenderFigure12(rows)
+	out := TableFigure12(rows).Render()
 	if !strings.Contains(out, "non-termination") {
 		t.Errorf("render misses the non-termination marker:\n%s", out)
 	}
@@ -110,7 +110,7 @@ func TestFigure14Shape(t *testing.T) {
 	if may.Monitor != 0 {
 		t.Errorf("Mayfly monitor time %v, want 0 (coupled design)", may.Monitor)
 	}
-	if out := RenderFigure14(rows); !strings.Contains(out, "ARTEMIS") || !strings.Contains(out, "Mayfly") {
+	if out := TableFigure14(rows).Render(); !strings.Contains(out, "ARTEMIS") || !strings.Contains(out, "Mayfly") {
 		t.Errorf("render incomplete:\n%s", out)
 	}
 }
@@ -130,7 +130,7 @@ func TestFigure15Shape(t *testing.T) {
 	if art.Runtime+art.Monitor > 200*simclock.Millisecond {
 		t.Errorf("ARTEMIS overhead %v implausibly large", art.Runtime+art.Monitor)
 	}
-	if out := RenderFigure15(rows); !strings.Contains(out, "ms") {
+	if out := TableFigure15(rows).Render(); !strings.Contains(out, "ms") {
 		t.Errorf("render not in milliseconds:\n%s", out)
 	}
 }
@@ -178,7 +178,7 @@ func TestFigure16Shape(t *testing.T) {
 			t.Errorf("%s: ARTEMIS/continuous energy ratio %.2f outside the ~3x band", label, ratio)
 		}
 	}
-	if out := RenderFigure16(rows); !strings.Contains(out, "unbounded") {
+	if out := TableFigure16(rows).Render(); !strings.Contains(out, "unbounded") {
 		t.Errorf("render misses the unbounded marker:\n%s", out)
 	}
 }
@@ -230,7 +230,7 @@ func TestTable2Shape(t *testing.T) {
 	if integ.RAM <= 0 {
 		t.Errorf("integrity RAM %d, want positive", integ.RAM)
 	}
-	if out := RenderTable2(rows); !strings.Contains(out, "FRAM") {
+	if out := TableTable2(rows).Render(); !strings.Contains(out, "FRAM") {
 		t.Errorf("render incomplete:\n%s", out)
 	}
 }
@@ -257,7 +257,7 @@ func TestAlternativesShape(t *testing.T) {
 		t.Errorf("remote monitor time %v not above local %v",
 			remote.MonitorTime, local.MonitorTime)
 	}
-	if out := RenderAlternatives(rows); !strings.Contains(out, "wireless") {
+	if out := TableAlternatives(rows).Render(); !strings.Contains(out, "wireless") {
 		t.Errorf("render incomplete:\n%s", out)
 	}
 }
@@ -285,7 +285,7 @@ func TestWearShape(t *testing.T) {
 	if app.WearBytes >= mon.WearBytes {
 		t.Errorf("app wear %d >= monitor wear %d", app.WearBytes, mon.WearBytes)
 	}
-	if out := RenderWear(rows); !strings.Contains(out, "turnover") {
+	if out := TableWear(rows).Render(); !strings.Contains(out, "turnover") {
 		t.Errorf("render incomplete:\n%s", out)
 	}
 }
@@ -316,7 +316,7 @@ func TestFigure12PhysicalShape(t *testing.T) {
 			}
 		}
 	}
-	if out := RenderFigure12Physical(rows); !strings.Contains(out, "µW") {
+	if out := TableFigure12Physical(rows).Render(); !strings.Contains(out, "µW") {
 		t.Errorf("render incomplete:\n%s", out)
 	}
 }
@@ -350,7 +350,7 @@ func TestExtensionShape(t *testing.T) {
 	if !sawBenefit {
 		t.Error("no budget showed a strict benefit; scenario miscalibrated")
 	}
-	if out := RenderExtension(rows); !strings.Contains(out, "aware skips") {
+	if out := TableExtension(rows).Render(); !strings.Contains(out, "aware skips") {
 		t.Errorf("render incomplete:\n%s", out)
 	}
 }
@@ -434,7 +434,7 @@ func TestReprogrammingShape(t *testing.T) {
 	if rows[1].RadioUJ < rows[0].RadioUJ {
 		t.Errorf("10%% loss cheaper than lossless: %.1f < %.1f µJ", rows[1].RadioUJ, rows[0].RadioUJ)
 	}
-	if !strings.Contains(RenderReprogramming(rows), "Reprogramming") {
+	if !strings.Contains(TableReprogramming(rows).Render(), "Reprogramming") {
 		t.Error("render missing title")
 	}
 }

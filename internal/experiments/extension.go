@@ -106,6 +106,3 @@ func TableExtension(rows []ExtensionRow) *trace.Table {
 	}
 	return t
 }
-
-// RenderExtension prints the comparison.
-func RenderExtension(rows []ExtensionRow) string { return TableExtension(rows).Render() }

@@ -53,6 +53,3 @@ func TableFigure12(rows []Fig12Row) *trace.Table {
 	}
 	return t
 }
-
-// RenderFigure12 prints the Figure-12 series.
-func RenderFigure12(rows []Fig12Row) string { return TableFigure12(rows).Render() }

@@ -78,8 +78,3 @@ func TableFigure12Physical(rows []Fig12PhysicalRow) *trace.Table {
 	}
 	return t
 }
-
-// RenderFigure12Physical prints the physical sweep.
-func RenderFigure12Physical(rows []Fig12PhysicalRow) string {
-	return TableFigure12Physical(rows).Render()
-}

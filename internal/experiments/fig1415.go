@@ -69,9 +69,6 @@ func TableFigure14(rows []OverheadRow) *trace.Table {
 	return t
 }
 
-// RenderFigure14 prints the seconds-scale breakdown.
-func RenderFigure14(rows []OverheadRow) string { return TableFigure14(rows).Render() }
-
 // TableFigure15 builds the millisecond-scale overhead table.
 func TableFigure15(rows []OverheadRow) *trace.Table {
 	t := trace.NewTable(
@@ -87,6 +84,3 @@ func TableFigure15(rows []OverheadRow) *trace.Table {
 	}
 	return t
 }
-
-// RenderFigure15 prints the millisecond-scale overhead detail.
-func RenderFigure15(rows []OverheadRow) string { return TableFigure15(rows).Render() }

@@ -77,6 +77,3 @@ func TableFigure16(rows []Fig16Row) *trace.Table {
 	}
 	return t
 }
-
-// RenderFigure16 prints the energy series.
-func RenderFigure16(rows []Fig16Row) string { return TableFigure16(rows).Render() }

@@ -97,6 +97,3 @@ func TableInputFreshness(rows []FreshnessRow) *trace.Table {
 	}
 	return t
 }
-
-// RenderInputFreshness prints the freshness comparison.
-func RenderInputFreshness(rows []FreshnessRow) string { return TableInputFreshness(rows).Render() }

@@ -51,7 +51,7 @@ func TestInputFreshnessShape(t *testing.T) {
 		t.Errorf("ARTEMIS at 6 min should adapt and complete: %+v", r)
 	}
 
-	out := RenderInputFreshness(rows)
+	out := TableInputFreshness(rows).Render()
 	if !strings.Contains(out, "Ocelot") || !strings.Contains(out, "non-termination") {
 		t.Errorf("render misses expected rows:\n%s", out)
 	}

@@ -36,7 +36,7 @@ func TestFigure12ParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := RenderFigure12(serialRows)
+	serial := TableFigure12(serialRows).Render()
 
 	check := func(label string) {
 		t.Helper()
@@ -44,7 +44,7 @@ func TestFigure12ParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := RenderFigure12(rows); got != serial {
+		if got := TableFigure12(rows).Render(); got != serial {
 			t.Errorf("%s: parallel Figure 12 diverges from serial\nserial:\n%s\nparallel:\n%s", label, serial, got)
 		}
 	}
@@ -57,13 +57,13 @@ func TestFigure16ParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := RenderFigure16(serialRows)
+	serial := TableFigure16(serialRows).Render()
 
 	rows, err := Figure16(parallelOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := RenderFigure16(rows); got != serial {
+	if got := TableFigure16(rows).Render(); got != serial {
 		t.Errorf("parallel Figure 16 diverges from serial\nserial:\n%s\nparallel:\n%s", serial, got)
 	}
 }
@@ -73,14 +73,14 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := RenderTable2(serialRows)
+	serial := TableTable2(serialRows).Render()
 
 	shuffleDispatch(t, func() {
 		rows, err := Table2(parallelOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := RenderTable2(rows); got != serial {
+		if got := TableTable2(rows).Render(); got != serial {
 			t.Errorf("parallel Table 2 diverges from serial\nserial:\n%s\nparallel:\n%s", serial, got)
 		}
 	})

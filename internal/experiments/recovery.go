@@ -131,9 +131,9 @@ func Recovery(o Options) (*RecoveryResult, error) {
 	return res, nil
 }
 
-// TableRecovery builds the watchdog-demo table; the flip campaigns render
+// tableRecovery builds the watchdog-demo table; the flip campaigns render
 // through their own reports.
-func TableRecovery(r *RecoveryResult) *trace.Table {
+func tableRecovery(r *RecoveryResult) *trace.Table {
 	t := trace.NewTable(
 		"Recovery — starved-task livelock (5 µJ boots, task with no spec property)",
 		"runtime", "outcome", "reboots", "total time")
@@ -155,6 +155,6 @@ func RenderRecovery(r *RecoveryResult) string {
 	s += r.Guarded.String()
 	s += fmt.Sprintf("scrub:      %d CRC checks on a clean run, %.2f%% of run energy; footprint %d B guards + %d B watchdog\n",
 		r.ScrubChecks, r.ScrubEnergyPct, r.GuardFRAM, r.WatchdogFRAM)
-	s += "\n" + TableRecovery(r).Render()
+	s += "\n" + tableRecovery(r).Render()
 	return s
 }

@@ -89,8 +89,3 @@ func TableReprogramming(rows []ReprogrammingRow) *trace.Table {
 	}
 	return t
 }
-
-// RenderReprogramming prints the reprogramming evaluation.
-func RenderReprogramming(rows []ReprogrammingRow) string {
-	return TableReprogramming(rows).Render()
-}

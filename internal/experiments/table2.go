@@ -188,6 +188,3 @@ func TableTable2(rows []Table2Row) *trace.Table {
 	}
 	return t
 }
-
-// RenderTable2 prints the memory-requirements table.
-func RenderTable2(rows []Table2Row) string { return TableTable2(rows).Render() }

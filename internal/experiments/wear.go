@@ -85,6 +85,3 @@ func TableWear(rows []WearRow) *trace.Table {
 	}
 	return t
 }
-
-// RenderWear prints the wear table.
-func RenderWear(rows []WearRow) string { return TableWear(rows).Render() }

@@ -198,9 +198,9 @@ func (a *App) Compile() (*transform.Result, error) {
 	return transform.Compile(s, transform.Options{Graph: a.Graph, DataVars: Keys()})
 }
 
-// CompileV2 lowers the OTA revision of the specification against this
+// compileV2 lowers the OTA revision of the specification against this
 // app's graph.
-func (a *App) CompileV2() (*transform.Result, error) {
+func (a *App) compileV2() (*transform.Result, error) {
 	s, err := spec.Parse(SpecSourceV2)
 	if err != nil {
 		return nil, fmt.Errorf("health: %w", err)
@@ -225,7 +225,7 @@ var sharedCompiled = sync.OnceValues(func() (*transform.Result, error) {
 func CompiledShared() (*transform.Result, error) { return sharedCompiled() }
 
 var sharedCompiledV2 = sync.OnceValues(func() (*transform.Result, error) {
-	return New().CompileV2()
+	return New().compileV2()
 })
 
 // CompiledSharedV2 returns the process-wide compiled OTA-revision monitor

@@ -126,9 +126,9 @@ func parseLine(line string, lineNo int) (Constraint, error) {
 	return c, nil
 }
 
-// ToSpec lowers the constraints into the ARTEMIS property model. The
+// toSpec lowers the constraints into the ARTEMIS property model. The
 // response to every violation is Mayfly's: restart the path.
-func ToSpec(cs []Constraint) *spec.Spec {
+func toSpec(cs []Constraint) *spec.Spec {
 	// Group by consumer task, preserving first-seen order.
 	order := []string{}
 	byConsumer := map[string][]spec.Property{}
@@ -170,7 +170,7 @@ func Compile(src string) (*spec.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ToSpec(cs), nil
+	return toSpec(cs), nil
 }
 
 // HealthSource is the Mayfly version of the benchmark (§5.1.1) in this

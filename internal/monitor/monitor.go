@@ -99,9 +99,9 @@ func (e *persistentEnv) Commit() { e.c.Commit() }
 // bookkeeping (first-boot hard reset).
 func (m *Monitor) Reset() { m.env.reset(true) }
 
-// Reinit returns the machine to its initial state and variables but keeps
+// reinit returns the machine to its initial state and variables but keeps
 // the event-replay bookkeeping; used when a path restarts (§3.3).
-func (m *Monitor) Reinit() { m.env.reset(false) }
+func (m *Monitor) reinit() { m.env.reset(false) }
 
 // Rollback discards uncommitted staging after a reboot.
 func (m *Monitor) Rollback() { m.env.rollback() }
@@ -172,7 +172,7 @@ func (s *Set) Monitors() []*Monitor { return s.monitors }
 
 // SetTracer attaches a telemetry tracer to every monitor in the set, which
 // then emits MonitorTransition and PropertyFail events from Deliver. All
-// deployment styles (local, threaded, remote) funnel through the same
+// deployment styles (local, remote) funnel through the same
 // Monitor instances, so this covers them uniformly. A nil tracer disables
 // emission.
 func (s *Set) SetTracer(t *telemetry.Tracer) {
@@ -256,7 +256,7 @@ func (s *Set) ResetPath(id int) {
 			continue
 		}
 		if m.binding.Path == id || (m.binding.Path == 0 && containsInt(m.binding.AllPaths, id)) {
-			m.Reinit()
+			m.reinit()
 		}
 	}
 }

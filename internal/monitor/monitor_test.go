@@ -230,31 +230,39 @@ func TestCrashDuringDeliverIsAtomic(t *testing.T) {
 	// A power failure during a monitor's commit leaves it either entirely
 	// before the event (re-delivery re-steps it) or entirely after
 	// (re-delivery returns the stored verdict). Either way the final
-	// configuration matches an uninterrupted delivery.
-	for point := 1; point < 400; point += 7 {
-		mem := nvm.New(64 * 1024)
-		s := compileSet(t, mem, `accel { maxTries: 2 onFail: skipPath; }`)
-		s.Deliver(startEv(1, "accel", simclock.Second, 2))
+	// configuration matches an uninterrupted delivery. The two-machine
+	// spec also puts crash points between the machines' commits within
+	// one pass.
+	for _, src := range []string{
+		`accel { maxTries: 2 onFail: skipPath; }`,
+		`accel { maxTries: 2 onFail: skipPath; }
+send { maxDuration: 100ms onFail: skipTask; }`,
+	} {
+		for point := 1; point < 600; point += 7 {
+			mem := nvm.New(64 * 1024)
+			s := compileSet(t, mem, src)
+			s.Deliver(startEv(1, "accel", simclock.Second, 2))
 
-		ev := startEv(2, "accel", 2*simclock.Second, 2)
-		mem.SetCrashHook(point, func() { panic(crash{}) })
-		crashed := crashing(func() { s.Deliver(ev) })
-		mem.SetCrashHook(0, nil)
+			ev := startEv(2, "accel", 2*simclock.Second, 2)
+			mem.SetCrashHook(point, func() { panic(crash{}) })
+			crashed := crashing(func() { s.Deliver(ev) })
+			mem.SetCrashHook(0, nil)
 
-		s.Rollback() // reboot
-		fs, err := s.Deliver(ev)
-		if err != nil {
-			t.Fatalf("point %d: %v", point, err)
-		}
-		if len(fs) != 0 {
-			t.Fatalf("point %d: unexpected failures %v", point, fs)
-		}
-		m := s.Monitor("maxTries_accel")
-		if v, _ := m.VarValue("i"); v.I != 2 {
-			t.Fatalf("point %d (crashed=%v): i = %v, want 2", point, crashed, v)
-		}
-		if !crashed {
-			break // crash point beyond total writes: nothing left to test
+			s.Rollback() // reboot
+			fs, err := s.Deliver(ev)
+			if err != nil {
+				t.Fatalf("%q point %d: %v", src, point, err)
+			}
+			if len(fs) != 0 {
+				t.Fatalf("%q point %d: unexpected failures %v", src, point, fs)
+			}
+			m := s.Monitor("maxTries_accel")
+			if v, _ := m.VarValue("i"); v.I != 2 {
+				t.Fatalf("%q point %d (crashed=%v): i = %v, want 2", src, point, crashed, v)
+			}
+			if !crashed {
+				break // crash point beyond total writes: nothing left to test
+			}
 		}
 	}
 }
@@ -451,119 +459,6 @@ func TestRemoteDeployment(t *testing.T) {
 		t.Fatal("wrapped set not exposed")
 	}
 	remote.Rollback() // no-op pass-through must not panic
-}
-
-func newThreaded(t *testing.T, mem *nvm.Memory, src string) *ThreadedSet {
-	t.Helper()
-	res, err := transform.Compile(spec.MustParse(src), transform.Options{
-		Graph:    testGraph(t),
-		DataVars: []string{"avgTemp"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := NewSet(mem, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := NewThreadedSet(mem, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts.Reset()
-	return ts
-}
-
-func TestThreadedSetMatchesSet(t *testing.T) {
-	src := `
-accel { maxTries: 3 onFail: skipPath; }
-send { maxDuration: 100ms onFail: skipTask; }
-calcAvg { collect: 2 dpTask: bodyTemp onFail: restartPath; }
-`
-	plain := compileSet(t, nvm.New(128*1024), src)
-	threaded := newThreaded(t, nvm.New(128*1024), src)
-
-	tasks := []string{"accel", "send", "bodyTemp", "calcAvg"}
-	for i := 0; i < 60; i++ {
-		kind := ir.EvStart
-		if i%2 == 1 {
-			kind = ir.EvEnd
-		}
-		ev := Event{
-			Seq: uint64(i) + 1,
-			Event: ir.Event{
-				Kind: kind,
-				Task: tasks[i%len(tasks)],
-				Time: simclock.Time(simclock.Duration(i) * simclock.Second),
-				Path: 1 + i%2,
-			},
-		}
-		a, err := plain.Deliver(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := threaded.Deliver(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("event %d: %v vs %v", i, a, b)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("event %d verdict %d: %v vs %v", i, j, a[j], b[j])
-			}
-		}
-	}
-}
-
-func TestThreadedSetCrashMidPassRecovers(t *testing.T) {
-	// Crash during the dispatch pass at assorted write offsets; recovery
-	// (Rollback + re-delivery of the same event) must converge to the same
-	// configuration as an uninterrupted pass.
-	for point := 1; point < 600; point += 13 {
-		mem := nvm.New(128 * 1024)
-		ts := newThreaded(t, mem, `accel { maxTries: 2 onFail: skipPath; }
-send { maxDuration: 100ms onFail: skipTask; }`)
-		ts.Deliver(startEv(1, "accel", simclock.Second, 2))
-
-		ev := startEv(2, "accel", 2*simclock.Second, 2)
-		mem.SetCrashHook(point, func() { panic(crash{}) })
-		crashed := crashing(func() { ts.Deliver(ev) })
-		mem.SetCrashHook(0, nil)
-
-		ts.Rollback()
-		fs, err := ts.Deliver(ev)
-		if err != nil {
-			t.Fatalf("point %d: %v", point, err)
-		}
-		if len(fs) != 0 {
-			t.Fatalf("point %d: failures %v", point, fs)
-		}
-		m := ts.Monitor("maxTries_accel")
-		if v, _ := m.VarValue("i"); v.I != 2 {
-			t.Fatalf("point %d (crashed=%v): i = %v, want 2", point, crashed, v)
-		}
-		if !crashed {
-			break
-		}
-	}
-}
-
-func TestThreadedSetResetPathAndHostMachines(t *testing.T) {
-	mem := nvm.New(128 * 1024)
-	ts := newThreaded(t, mem, `accel { maxTries: 5 onFail: skipPath; }`)
-	if ts.HostMachines() != 1 {
-		t.Fatalf("HostMachines = %d", ts.HostMachines())
-	}
-	ts.Deliver(startEv(1, "accel", simclock.Second, 2))
-	ts.ResetPath(2)
-	if v, _ := ts.Monitor("maxTries_accel").VarValue("i"); v.I != 0 {
-		t.Fatalf("i = %v after ResetPath", v)
-	}
-	if ts.Set() == nil || ts.String() == "" {
-		t.Fatal("accessors broken")
-	}
 }
 
 func TestVerdictOverflowRejected(t *testing.T) {

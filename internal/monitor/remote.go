@@ -86,10 +86,10 @@ type RetryPolicy struct {
 	Multiplier float64
 }
 
-// DefaultRetryPolicy retries three times with 5 ms → 10 ms → 20 ms
+// defaultRetryPolicy retries three times with 5 ms → 10 ms → 20 ms
 // backoff — a BLE-scale schedule that keeps a lost event well under the
 // benchmark's 100 ms timeliness bounds.
-func DefaultRetryPolicy() RetryPolicy {
+func defaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 3, Backoff: 5 * simclock.Millisecond, Multiplier: 2}
 }
 
@@ -120,7 +120,7 @@ type Exchanger struct {
 // NewExchanger builds the retry machinery for one radio link with a
 // perfect channel and the default retry policy.
 func NewExchanger(mcu *device.MCU, cost RadioCost) *Exchanger {
-	return &Exchanger{mcu: mcu, cost: cost, policy: DefaultRetryPolicy()}
+	return &Exchanger{mcu: mcu, cost: cost, policy: defaultRetryPolicy()}
 }
 
 // SetLink installs the radio channel model (nil = perfect link).

@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"sync"
 )
@@ -885,13 +884,6 @@ func (r *Region) Get32(off int) uint32 {
 	return binary.LittleEndian.Uint32(r.mem.read(r.off+off, 4))
 }
 
-// Put64 persists a little-endian uint64 at region offset off (not atomic;
-// see Put16). It is the named-width spelling of WriteUint64.
-func (r *Region) Put64(off int, v uint64) { r.WriteUint64(off, v) }
-
-// Get64 reads a little-endian uint64 at region offset off.
-func (r *Region) Get64(off int) uint64 { return r.ReadUint64(off) }
-
 // ReadUint64 reads a little-endian uint64 at region offset off.
 func (r *Region) ReadUint64(off int) uint64 {
 	r.check(off, 8)
@@ -921,7 +913,7 @@ func (r *Region) SetByteAt(off int, b byte) {
 
 // Word is the set of fixed-width scalar types storable in a Var.
 type Word interface {
-	~int | ~int32 | ~int64 | ~uint32 | ~uint64 | ~float64 | ~bool
+	int | int32 | int64 | uint32 | uint64 | float64 | bool
 }
 
 // Var is a persistent scalar variable: eight bytes of FRAM holding one Word.
@@ -977,13 +969,8 @@ func encodeWord[T Word](val T) uint64 {
 		return uint64(x)
 	case uint64:
 		return x
-	case float64:
-		return math.Float64bits(x)
-	default:
-		// Named types with Word underlying types land here; reflect-free
-		// conversion via the type parameter is not possible in a switch, so
-		// encode through the only lossless common representation.
-		return encodeNamed(val)
+	default: // float64
+		return math.Float64bits(x.(float64))
 	}
 }
 
@@ -1002,51 +989,9 @@ func decodeWord[T Word](bits uint64) T {
 		return any(uint32(bits)).(T)
 	case uint64:
 		return any(bits).(T)
-	case float64:
+	default: // float64
 		return any(math.Float64frombits(bits)).(T)
-	default:
-		return decodeNamed[T](bits)
 	}
-}
-
-// encodeNamed handles named types whose underlying type is a Word (e.g.
-// simclock.Time, which is a named int64); these do not match the concrete
-// cases of the type switch above.
-func encodeNamed[T Word](val T) uint64 {
-	rv := reflect.ValueOf(val)
-	switch rv.Kind() {
-	case reflect.Bool:
-		if rv.Bool() {
-			return 1
-		}
-		return 0
-	case reflect.Int, reflect.Int32, reflect.Int64:
-		return uint64(rv.Int())
-	case reflect.Uint32, reflect.Uint64:
-		return rv.Uint()
-	case reflect.Float64:
-		return math.Float64bits(rv.Float())
-	default:
-		panic(fmt.Sprintf("nvm: unsupported Var kind %v", rv.Kind()))
-	}
-}
-
-func decodeNamed[T Word](bits uint64) T {
-	var zero T
-	rv := reflect.New(reflect.TypeOf(zero)).Elem()
-	switch rv.Kind() {
-	case reflect.Bool:
-		rv.SetBool(bits != 0)
-	case reflect.Int, reflect.Int32, reflect.Int64:
-		rv.SetInt(int64(bits))
-	case reflect.Uint32, reflect.Uint64:
-		rv.SetUint(bits)
-	case reflect.Float64:
-		rv.SetFloat(math.Float64frombits(bits))
-	default:
-		panic(fmt.Sprintf("nvm: unsupported Var kind %v", rv.Kind()))
-	}
-	return rv.Interface().(T)
 }
 
 // Committed is a double-buffered region with two-phase commit. The current

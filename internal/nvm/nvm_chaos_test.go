@@ -10,15 +10,15 @@ func TestRegionPut16Put32Put64RoundTrip(t *testing.T) {
 	r := m.MustAlloc("t", "x", 14)
 	r.Put16(0, 0xBEEF)
 	r.Put32(2, 0xDEADBEEF)
-	r.Put64(6, 0x0123456789ABCDEF)
+	r.WriteUint64(6, 0x0123456789ABCDEF)
 	if got := r.Get16(0); got != 0xBEEF {
 		t.Fatalf("Get16 = %#x", got)
 	}
 	if got := r.Get32(2); got != 0xDEADBEEF {
 		t.Fatalf("Get32 = %#x", got)
 	}
-	if got := r.Get64(6); got != 0x0123456789ABCDEF {
-		t.Fatalf("Get64 = %#x", got)
+	if got := r.ReadUint64(6); got != 0x0123456789ABCDEF {
+		t.Fatalf("ReadUint64 = %#x", got)
 	}
 }
 
@@ -33,7 +33,7 @@ func TestRegionPutsTearAtEveryByteBoundary(t *testing.T) {
 	}{
 		{"Put16", 2, func(r *Region) { r.Put16(0, 0x5555) }},
 		{"Put32", 4, func(r *Region) { r.Put32(0, 0x55555555) }},
-		{"Put64", 8, func(r *Region) { r.Put64(0, 0x5555555555555555) }},
+		{"WriteUint64", 8, func(r *Region) { r.WriteUint64(0, 0x5555555555555555) }},
 	}
 	for _, tc := range cases {
 		for point := 1; point < tc.width; point++ {
@@ -181,12 +181,12 @@ func TestHashDistinguishesAndMatchesStates(t *testing.T) {
 	m1, m2 := New(128), New(128)
 	r1 := m1.MustAlloc("t", "x", 8)
 	r2 := m2.MustAlloc("t", "x", 8)
-	r1.Put64(0, 42)
-	r2.Put64(0, 42)
+	r1.WriteUint64(0, 42)
+	r2.WriteUint64(0, 42)
 	if m1.Hash() != m2.Hash() {
 		t.Fatal("identical images hash differently")
 	}
-	r2.Put64(0, 43)
+	r2.WriteUint64(0, 43)
 	if m1.Hash() == m2.Hash() {
 		t.Fatal("different images hash equal")
 	}
@@ -276,9 +276,9 @@ func TestJoinPreservesCommittedImage(t *testing.T) {
 }
 
 // Var.Set is a raw eight-byte store and shares the tearing behaviour of
-// Region.Put64: a crash after any interior byte leaves a mixed image. The
-// doc comment on Var promises exactly this — multi-variable consistency
-// must go through Committed.
+// Region.WriteUint64: a crash after any interior byte leaves a mixed
+// image. The doc comment on Var promises exactly this — multi-variable
+// consistency must go through Committed.
 func TestVarSetTearsAtEveryByteBoundary(t *testing.T) {
 	for point := 1; point < 8; point++ {
 		m := New(64)

@@ -188,17 +188,6 @@ func TestVarScalars(t *testing.T) {
 	}
 }
 
-type namedTime int64 // mimics simclock.Time
-
-func TestVarNamedType(t *testing.T) {
-	m := New(64)
-	v := MustAllocVar[namedTime](m, "t", "time")
-	v.Set(namedTime(-123456))
-	if v.Get() != -123456 {
-		t.Fatalf("named var = %d", v.Get())
-	}
-}
-
 // Property: any int64 round-trips through a Var.
 func TestVarRoundTripProperty(t *testing.T) {
 	m := New(64)
