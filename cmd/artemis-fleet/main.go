@@ -33,6 +33,14 @@ import (
 	"github.com/tinysystems/artemis-go/internal/fleetserver"
 )
 
+// Read deadlines for one request, so a client that trickles its headers or
+// body cannot hold a connection open indefinitely. readTimeout also bounds
+// how long a keep-alive connection may sit idle.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "artemis-fleet:", err)
@@ -103,7 +111,11 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+	}
 	srv.Start()
 	fmt.Fprintf(w, "artemis-fleet: serving on http://%s (%d devices registered)\n",
 		ln.Addr(), srv.DeviceCount())

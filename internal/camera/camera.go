@@ -59,10 +59,6 @@ func Keys() []string {
 type App struct {
 	Graph  *task.Graph
 	Chunks *task.Channel
-	// SenseMotion, when non-nil, transforms the PIR reading before the
-	// detect task stores it (nominal is 1 = motion). Fault-injection
-	// harnesses model a stuck or dropped motion sensor here.
-	SenseMotion func(nominal float64) float64
 }
 
 // New builds the application against the given memory (the channel needs
@@ -82,11 +78,7 @@ func New(mem *nvm.Memory, chunksPerFrame int) (*App, error) {
 		Cycles:      1500,
 		Peripherals: []string{"pir"},
 		Run: func(c *task.Ctx) error {
-			motion := 1.0
-			if a.SenseMotion != nil {
-				motion = a.SenseMotion(motion)
-			}
-			c.Set("motion", motion)
+			c.Set("motion", 1) // the PIR sensor reports motion
 			return nil
 		},
 	}

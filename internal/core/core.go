@@ -97,6 +97,10 @@ type SupplyConfig struct {
 	Seed    int64
 }
 
+// memBytes is the FRAM image size of a pooled deployment: the
+// MSP430FR5994's 256 KiB.
+const memBytes = 256 * 1024
+
 // Config describes one deployment.
 type Config struct {
 	System System
@@ -118,24 +122,17 @@ type Config struct {
 	Compiled *transform.Result
 	// Constraints is the Mayfly constraint set (ignored by ARTEMIS).
 	Constraints []mayfly.Constraint
-	// FreshnessBounds is the declared input-freshness bound set (Ocelot
-	// only). The runtime enforces these plus any bounds inferred from the
-	// task graph under FreshnessDefault (freshness.InferBounds).
+	// FreshnessBounds is the input-freshness bound set the runtime enforces
+	// (Ocelot only).
 	FreshnessBounds []freshness.Bound
-	// FreshnessDefault, when positive, gives every graph-inferred
-	// (sensor task, path-final task) pair without a declared bound this
-	// maximum input age (Ocelot only). Zero infers no extra bounds.
-	FreshnessDefault simclock.Duration
 
 	Supply SupplyConfig
 
 	// Profile defaults to MSP430FR5994.
 	Profile *device.Profile
-	// MemBytes defaults to 256 KiB (the MSP430FR5994's FRAM).
-	MemBytes int
 	// Mem, when non-nil, hosts the deployment on the given caller-owned
-	// FRAM image instead of drawing one from the global recycle pool, and
-	// MemBytes is ignored. The caller owns the image's lifecycle: the fleet
+	// FRAM image instead of drawing a memBytes image from the global recycle
+	// pool. The caller owns the image's lifecycle: the fleet
 	// engine uses this to keep each shard recycling its own images
 	// (nvm.Pool), and Framework.Release does not return caller-owned images
 	// to the global pool. The image must be fresh (zeroed, no allocations).
@@ -144,8 +141,6 @@ type Config struct {
 	Rounds int
 	// MaxReboots defaults to 1000; exhausting it reports non-termination.
 	MaxReboots int
-	// MaxSteps bounds runtime-loop iterations (livelock guard).
-	MaxSteps int
 
 	// OnDecision observes ARTEMIS decisions (ignored by Mayfly); experiment
 	// harnesses use it to reconstruct timelines.
@@ -153,17 +148,12 @@ type Config struct {
 
 	// RemoteMonitors deploys the ARTEMIS monitors on an external wireless
 	// device (§7 "Implementation Alternatives"): the host pays per-event
-	// radio costs instead of on-device evaluation costs.
+	// radio costs (monitor.DefaultRadioCost) instead of on-device
+	// evaluation costs.
 	RemoteMonitors bool
-	// RadioCost overrides the default BLE-class exchange cost when
-	// RemoteMonitors is set.
-	RadioCost *monitor.RadioCost
 	// RadioLink injects a radio channel model (loss, duplication) into the
 	// remote deployment; nil is a perfect link. Requires RemoteMonitors.
 	RadioLink monitor.Link
-	// RadioPolicy overrides the remote deployment's default retry/backoff
-	// schedule. Requires RemoteMonitors.
-	RadioPolicy *monitor.RetryPolicy
 
 	// BuildApp, when set, constructs the application against the
 	// framework's NVM — for apps whose graphs close over persistent
@@ -171,11 +161,9 @@ type Config struct {
 	// persistents to commit at task boundaries; Config.Graph must be nil.
 	BuildApp func(mem *nvm.Memory) (*task.Graph, []task.Persistent, error)
 
-	// ClockDriftPPM and ClockOffJitterPPM configure the persistent
-	// timekeeper's error model (crystal drift while on; off-period
-	// estimation error, seeded by ClockSeed). Zero means a perfect clock —
+	// ClockOffJitterPPM configures the persistent timekeeper's off-period
+	// estimation error, seeded by ClockSeed. Zero means a perfect clock —
 	// the paper's assumption.
-	ClockDriftPPM     float64
 	ClockOffJitterPPM float64
 	ClockSeed         int64
 
@@ -196,29 +184,19 @@ type Config struct {
 
 	// SwapCompiled, when non-nil, queues an over-the-air monitor
 	// reprogramming (ARTEMIS only): the compiled target spec is encoded as
-	// a versioned, checksummed bundle and delivered chunk-by-chunk over the
-	// monitoring radio link once the runtime's event sequence passes
-	// SwapAt, then activated atomically at a task boundary with live FSM
-	// state migrated per SwapMigration.
+	// a version-2 (the factory image is version 1), checksummed bundle and
+	// delivered in ota.DefaultChunk-byte chunks over the monitoring radio
+	// link once the runtime's event sequence passes SwapAt, then activated
+	// atomically at a task boundary with live FSM state migrated by
+	// ota.AutoMigration (the identity map over shared state names).
 	SwapCompiled *transform.Result
-	// SwapVersion is the bundle's version; defaults to 2 (the factory
-	// image is version 1) and must exceed the installed version.
-	SwapVersion uint64
 	// SwapAt is the runtime event sequence number after which the transfer
 	// starts; 0 starts at the first task boundary.
 	SwapAt uint64
-	// SwapMigration maps machine -> old state -> new state; nil derives
-	// the identity map over shared state names (ota.AutoMigration).
-	SwapMigration map[string]map[string]string
 	// SwapLink injects a lossy channel under the OTA transfer when
-	// monitors run on-device (with RemoteMonitors the transfer shares the
-	// remote deployment's link and RadioLink applies to both).
+	// monitors run on-device. Not allowed with RemoteMonitors: the transfer
+	// then shares the remote deployment's exchanger, and RadioLink applies.
 	SwapLink monitor.Link
-	// SwapPolicy overrides the OTA transfer's retry/backoff schedule when
-	// monitors run on-device.
-	SwapPolicy *monitor.RetryPolicy
-	// SwapChunk overrides the transfer chunk size (default 64 bytes).
-	SwapChunk int
 	// SwapCorrupt, when non-nil, may alter a chunk in flight (fault
 	// injection); corruption is caught at verification and rolls back.
 	SwapCorrupt func(chunk int, data []byte) []byte
@@ -300,9 +278,6 @@ func New(cfg Config) (*Framework, error) {
 	if len(cfg.StoreKeys) == 0 {
 		return nil, errors.New("core: Config.StoreKeys is required")
 	}
-	if cfg.MemBytes <= 0 {
-		cfg.MemBytes = 256 * 1024
-	}
 	if cfg.MaxReboots <= 0 {
 		cfg.MaxReboots = 1000
 	}
@@ -316,7 +291,7 @@ func New(cfg Config) (*Framework, error) {
 	}
 	mem := cfg.Mem
 	if mem == nil {
-		mem = nvm.NewPooled(cfg.MemBytes)
+		mem = nvm.NewPooled(memBytes)
 	}
 	var extras []task.Persistent
 	if cfg.BuildApp != nil {
@@ -326,7 +301,7 @@ func New(cfg Config) (*Framework, error) {
 		}
 		cfg.Graph, extras = g, ex
 	}
-	clock := &simclock.Clock{DriftPPM: cfg.ClockDriftPPM, OffJitterPPM: cfg.ClockOffJitterPPM}
+	clock := &simclock.Clock{OffJitterPPM: cfg.ClockOffJitterPPM}
 	if cfg.ClockOffJitterPPM != 0 {
 		clock.Rand = rand.New(rand.NewSource(cfg.ClockSeed))
 	}
@@ -362,8 +337,8 @@ func New(cfg Config) (*Framework, error) {
 	if cfg.Telemetry && cfg.System == Mayfly {
 		return nil, errors.New("core: Telemetry requires the ARTEMIS or Ocelot runtime")
 	}
-	if (len(cfg.FreshnessBounds) > 0 || cfg.FreshnessDefault != 0) && cfg.System != Ocelot {
-		return nil, errors.New("core: FreshnessBounds and FreshnessDefault require the Ocelot runtime")
+	if len(cfg.FreshnessBounds) > 0 && cfg.System != Ocelot {
+		return nil, errors.New("core: FreshnessBounds requires the Ocelot runtime")
 	}
 	var tel *telemetry.Tracer
 	if cfg.Telemetry || cfg.FlightDepth > 0 {
@@ -422,15 +397,8 @@ func New(cfg Config) (*Framework, error) {
 		mons.SetTracer(tel)
 		var deployed monitor.Interface = mons
 		if cfg.RemoteMonitors {
-			cost := monitor.DefaultRadioCost()
-			if cfg.RadioCost != nil {
-				cost = *cfg.RadioCost
-			}
-			rem := monitor.NewRemote(mons, mcu, cost)
+			rem := monitor.NewRemote(mons, mcu, monitor.DefaultRadioCost())
 			rem.SetLink(cfg.RadioLink)
-			if cfg.RadioPolicy != nil {
-				rem.SetRetryPolicy(*cfg.RadioPolicy)
-			}
 			f.remote = rem
 			deployed = rem
 		}
@@ -446,13 +414,12 @@ func New(cfg Config) (*Framework, error) {
 			deployed = otaMgr
 			reprog = otaMgr
 			f.otaMgr = otaMgr
-		} else if cfg.SwapVersion != 0 || cfg.SwapAt != 0 || cfg.SwapMigration != nil ||
-			cfg.SwapLink != nil || cfg.SwapPolicy != nil || cfg.SwapChunk != 0 || cfg.SwapCorrupt != nil {
+		} else if cfg.SwapAt != 0 || cfg.SwapLink != nil || cfg.SwapCorrupt != nil {
 			return nil, errors.New("core: Swap* options require Config.SwapCompiled")
 		}
 		rt, err := artemis.New(artemis.Config{
 			MCU: mcu, Graph: cfg.Graph, Store: store, Monitors: deployed,
-			Rounds: cfg.Rounds, MaxSteps: cfg.MaxSteps, OnDecision: cfg.OnDecision,
+			Rounds: cfg.Rounds, OnDecision: cfg.OnDecision,
 			Extras: extras, Integrity: integ, WatchdogLimit: cfg.WatchdogLimit,
 			Telemetry: tel, OTA: reprog,
 		})
@@ -477,17 +444,16 @@ func New(cfg Config) (*Framework, error) {
 	case Mayfly:
 		rt, err := mayfly.New(mayfly.Config{
 			MCU: mcu, Graph: cfg.Graph, Store: store, Constraints: cfg.Constraints,
-			Rounds: cfg.Rounds, MaxSteps: cfg.MaxSteps,
+			Rounds: cfg.Rounds,
 		})
 		if err != nil {
 			return nil, err
 		}
 		f.may = rt
 	case Ocelot:
-		bounds := freshness.InferBounds(cfg.Graph, cfg.FreshnessBounds, cfg.FreshnessDefault)
 		rt, err := freshness.New(freshness.Config{
-			MCU: mcu, Graph: cfg.Graph, Store: store, Bounds: bounds,
-			Rounds: cfg.Rounds, MaxSteps: cfg.MaxSteps, Telemetry: tel,
+			MCU: mcu, Graph: cfg.Graph, Store: store, Bounds: cfg.FreshnessBounds,
+			Rounds: cfg.Rounds, Telemetry: tel,
 		})
 		if err != nil {
 			return nil, err
@@ -505,41 +471,26 @@ func New(cfg Config) (*Framework, error) {
 // integrity guards.
 func (f *Framework) buildOTA(cfg Config, mem *nvm.Memory, mcu *device.MCU, tel *telemetry.Tracer,
 	integ *integrity.Manager, deployed monitor.Interface, mons *monitor.Set, res *transform.Result) (*ota.Manager, error) {
-	version := cfg.SwapVersion
-	if version == 0 {
-		version = 2
-	}
-	mig := cfg.SwapMigration
-	if mig == nil {
-		mig = ota.AutoMigration(res.Program, cfg.SwapCompiled.Program)
-	}
-	encoded, err := ota.Encode(&ota.Bundle{Version: version, Result: cfg.SwapCompiled, Migration: mig})
+	encoded, err := ota.Encode(&ota.Bundle{Version: 2, Result: cfg.SwapCompiled,
+		Migration: ota.AutoMigration(res.Program, cfg.SwapCompiled.Program)})
 	if err != nil {
 		return nil, err
 	}
 	var ex *monitor.Exchanger
 	if f.remote != nil {
-		if cfg.SwapLink != nil || cfg.SwapPolicy != nil {
-			return nil, errors.New("core: with RemoteMonitors the OTA transfer shares RadioLink/RadioPolicy; SwapLink/SwapPolicy apply to on-device monitors")
+		if cfg.SwapLink != nil {
+			return nil, errors.New("core: with RemoteMonitors the OTA transfer shares RadioLink; SwapLink applies to on-device monitors")
 		}
 		ex = f.remote.Exchanger()
 	} else {
-		cost := monitor.DefaultRadioCost()
-		if cfg.RadioCost != nil {
-			cost = *cfg.RadioCost
-		}
-		ex = monitor.NewExchanger(mcu, cost)
+		ex = monitor.NewExchanger(mcu, monitor.DefaultRadioCost())
 		ex.SetLink(cfg.SwapLink)
-		if cfg.SwapPolicy != nil {
-			ex.SetRetryPolicy(*cfg.SwapPolicy)
-		}
 	}
 	var mgr *ota.Manager
 	mgr, err = ota.New(ota.Config{
 		Mem: mem, MCU: mcu, Exchanger: ex, Telemetry: tel,
 		Deployment: deployed, ActiveSet: mons,
-		Capacity: len(encoded), Chunk: cfg.SwapChunk,
-		Corrupt: cfg.SwapCorrupt,
+		Capacity: len(encoded), Corrupt: cfg.SwapCorrupt,
 		OnInstall: func(r *transform.Result, set *monitor.Set) {
 			set.SetTracer(tel)
 			f.res = r
@@ -674,16 +625,9 @@ func (f *Framework) OTA() *ota.Manager { return f.otaMgr }
 // harnesses read its control snapshot and decision stats.
 func (f *Framework) Artemis() *artemis.Runtime { return f.art }
 
-// Ocelot returns the freshness-enforcement runtime, or nil for the other
-// systems.
-func (f *Framework) Ocelot() *freshness.Runtime { return f.fresh }
-
 // Remote returns the remote monitor deployment, or nil when monitors run
 // on-device.
 func (f *Framework) Remote() *monitor.Remote { return f.remote }
-
-// Integrity returns the self-healing layer's manager, or nil when disabled.
-func (f *Framework) Integrity() *integrity.Manager { return f.integ }
 
 // Telemetry returns the structured event tracer, or nil when disabled.
 func (f *Framework) Telemetry() *telemetry.Tracer { return f.tel }

@@ -165,9 +165,6 @@ func (m *MCU) SetComponent(c Component) Component {
 	return prev
 }
 
-// Component returns the component currently charged for execution.
-func (m *MCU) Component() Component { return m.comp }
-
 // UsageOf returns the accumulated cost of one component.
 func (m *MCU) UsageOf(c Component) Usage {
 	if u := m.breakdown[c]; u != nil {

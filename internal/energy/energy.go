@@ -77,11 +77,6 @@ func (c *Capacitor) Usable() Joules {
 	return Joules(0.5 * c.Capacitance * (c.v*c.v - c.VOff*c.VOff))
 }
 
-// Capacity returns the usable energy when fully charged to VMax.
-func (c *Capacitor) Capacity() Joules {
-	return Joules(0.5 * c.Capacitance * (c.VMax*c.VMax - c.VOff*c.VOff))
-}
-
 // BootBudget returns the usable energy available right after turn-on at VOn.
 func (c *Capacitor) BootBudget() Joules {
 	return Joules(0.5 * c.Capacitance * (c.VOn*c.VOn - c.VOff*c.VOff))

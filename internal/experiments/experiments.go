@@ -32,8 +32,6 @@ type Options struct {
 	// NonTermReboots is the reboot budget after which a run is declared
 	// non-terminating; defaults to 100.
 	NonTermReboots int
-	// BodyTemp configures the simulated patient; defaults to healthy 36.6.
-	BodyTemp float64
 	// Workers is the number of concurrent simulations per sweep. 0 or 1
 	// runs serially on the calling goroutine (the bisection-friendly zero
 	// value); pass parallel.DefaultWorkers() for one per CPU. Every sweep
@@ -53,9 +51,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.NonTermReboots == 0 {
 		o.NonTermReboots = 100
-	}
-	if o.BodyTemp == 0 {
-		o.BodyTemp = 36.6
 	}
 	return o
 }
@@ -91,7 +86,7 @@ func sweep[I, O any](o Options, items []I, fn func(i int, item I) (O, error)) ([
 
 // runHealth executes the benchmark once on the chosen system and supply.
 func runHealth(system core.System, supply core.SupplyConfig, o Options, hook func(*core.Config)) (*core.Report, Outcome, error) {
-	app := health.NewWithTemp(o.BodyTemp)
+	app := health.New()
 	cfg := core.Config{
 		System:     system,
 		Graph:      app.Graph,

@@ -55,18 +55,14 @@ type Config struct {
 	// Workers bounds the goroutines stepping shards; <= 0 means one per
 	// CPU. Like Shards, it never changes results.
 	Workers int
-	// Cases is the deployment mix; device i runs Cases[i % len(Cases)].
-	// Nil means examplespecs.All(). Ignored when Members is set.
-	Cases []examplespecs.Case
 	// Members, when non-nil, places an explicit device list instead of the
-	// Devices/Cases round-robin: device i is Members[i], keeping its given
-	// name. This is the dynamic-membership hook the fleet server uses — it
-	// rebuilds (reshards) an engine from its registry snapshot whenever
-	// devices come or go, and the per-device digest independence means a
-	// frozen member list reproduces the same digests at any Shards/Workers.
+	// round-robin over examplespecs.All(): device i is Members[i], keeping
+	// its given name. This is the dynamic-membership hook the fleet server
+	// uses — it rebuilds (reshards) an engine from its registry snapshot
+	// whenever devices come or go, and the per-device digest independence
+	// means a frozen member list reproduces the same digests at any
+	// Shards/Workers.
 	Members []Member
-	// MemBytes is the per-device image size; 0 means DefaultMemBytes.
-	MemBytes int
 	// PostRun, when non-nil, observes every completed device run while the
 	// framework and its FRAM image are still alive — after Framework.Run,
 	// before the outcome digest folds the image hash and the image returns
@@ -133,13 +129,7 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Devices <= 0 {
 			return nil, fmt.Errorf("fleet: Devices must be positive, got %d", cfg.Devices)
 		}
-		cases := cfg.Cases
-		if cases == nil {
-			cases = examplespecs.All()
-		}
-		if len(cases) == 0 {
-			return nil, fmt.Errorf("fleet: empty case list")
-		}
+		cases := examplespecs.All()
 		members = make([]Member, cfg.Devices)
 		for i := range members {
 			c := cases[i%len(cases)]
@@ -160,10 +150,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if shards > devices {
 		shards = devices
-	}
-	memBytes := cfg.MemBytes
-	if memBytes <= 0 {
-		memBytes = DefaultMemBytes
 	}
 
 	// One compiled monitor program per distinct case, shared by all its
@@ -201,7 +187,7 @@ func New(cfg Config) (*Engine, error) {
 		sh := &shard{
 			index:   s,
 			devices: make([]device, 0, hi-lo),
-			pool:    nvm.NewPool(memBytes),
+			pool:    nvm.NewPool(DefaultMemBytes),
 			digests: make([]uint64, hi-lo),
 			post:    cfg.PostRun,
 		}

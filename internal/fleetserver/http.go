@@ -14,6 +14,12 @@ import (
 // request body would size an allocation; larger fleets register in batches.
 const maxRegisterCount = 4096
 
+// maxBodyBytes caps the request body of POST /v1/devices and POST
+// /v1/events:batch, so a client cannot make the decoder buffer an unbounded
+// body. The largest batches clients send (about 1024 events of about 80 B)
+// stay well under it.
+const maxBodyBytes = 1 << 20
+
 // registerRequest is the POST /v1/devices body. Count registers a batch of
 // identically-specced devices with generated ids (0 means one, at most
 // maxRegisterCount).
@@ -38,13 +44,15 @@ type statusResponse struct {
 
 // Handler returns the server's HTTP API:
 //
-//	POST   /v1/devices        register a device (or a batch via count)
+//	POST   /v1/devices        register a device (or a batch via count);
+//	                          413 on a body over maxBodyBytes
 //	GET    /v1/devices        list devices in registration order
 //	GET    /v1/devices/{id}   one device's live monitoring state
 //	DELETE /v1/devices/{id}   unregister; responds only after the device
 //	                          can no longer be stepped
 //	POST   /v1/events:batch   ingest events; 429 + Retry-After on a full
-//	                          device queue (retry after the next step)
+//	                          device queue (retry after the next step),
+//	                          413 on a body over maxBodyBytes
 //	GET    /metrics           Prometheus text exposition
 //	GET    /healthz           liveness + registry size
 //	GET    /                  embedded HTML dashboard
@@ -82,8 +90,7 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Count <= 0 {
@@ -115,8 +122,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := s.Ingest(req.Events)
@@ -140,6 +146,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it answers 413 for an oversized body or 400 for
+// malformed JSON, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, statusResponse{Status: "error", Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+	} else {
+		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "bad JSON: " + err.Error()})
+	}
+	return false
 }
 
 // retryAfterSeconds rounds the step interval up to the 1s floor the

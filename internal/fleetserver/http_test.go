@@ -119,6 +119,28 @@ func TestHTTPRegisterRejectsHugeCount(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsOversizedBody: a body over maxBodyBytes is a 413 on both
+// POST endpoints, and a registration carrying one registers nothing.
+func TestHTTPRejectsOversizedBody(t *testing.T) {
+	s, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	huge := strings.Repeat("x", 2<<20)
+	for path, body := range map[string]any{
+		"/v1/devices":      registerRequest{ID: huge, Spec: "health"},
+		"/v1/events:batch": batchRequest{Events: []Event{{Device: huge, Kind: "start", Task: "send"}}},
+	} {
+		if rec := doJSON(t, h, "POST", path, body); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 2 MiB body: status %d, want 413", path, rec.Code)
+		}
+	}
+	if n := s.DeviceCount(); n != 0 {
+		t.Errorf("registered %d devices from an oversized body, want 0", n)
+	}
+}
+
 // TestHTTPIngestAndBackpressure checks the batch endpoint's status mapping,
 // including 429 + Retry-After on a full queue.
 func TestHTTPIngestAndBackpressure(t *testing.T) {

@@ -21,8 +21,8 @@
 // producer must re-sample its input, not accumulate side effects (true of
 // pure sampling tasks like the benchmark's accelerometer read; an
 // accumulator like bodyTemp should not be given a bound unless its
-// re-execution is acceptable). Bounds are inferred from the task graph by
-// InferBounds, with declared bounds taking precedence.
+// re-execution is acceptable). The runtime enforces exactly the declared
+// bound set.
 package freshness
 
 import (
@@ -44,6 +44,9 @@ const Owner = "ocelot"
 // 260 (the loop additionally ages every bound of the dispatched task).
 const checkCycles = 270
 
+// maxSteps bounds scheduling-loop iterations (livelock guard).
+const maxSteps = 1_000_000
+
 // Bound is one input-freshness requirement: when Consumer starts,
 // Producer's data must be at most Age old.
 type Bound struct {
@@ -64,8 +67,6 @@ type Config struct {
 	Store  *task.Store
 	Bounds []Bound
 	Rounds int
-	// MaxSteps bounds scheduling-loop iterations (livelock guard).
-	MaxSteps int
 	// Telemetry, when non-nil, receives inputStale/reCollect events and
 	// commit-flip counts.
 	Telemetry *telemetry.Tracer
@@ -121,9 +122,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 1
-	}
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = 1_000_000
 	}
 	producers := map[string]bool{}
 	for _, b := range cfg.Bounds {
@@ -186,9 +184,6 @@ func New(cfg Config) (*Runtime, error) {
 // Stats returns the enforcement counters.
 func (r *Runtime) Stats() Stats { return r.stats }
 
-// Bounds returns the enforced bound set.
-func (r *Runtime) Bounds() []Bound { return append([]Bound(nil), r.cfg.Bounds...) }
-
 func (r *Runtime) word(w int) int64       { return int64(r.ctl.ReadUint64(w * 8)) }
 func (r *Runtime) setWord(w int, v int64) { r.ctl.WriteUint64(w*8, uint64(v)) }
 
@@ -210,7 +205,7 @@ func (r *Runtime) Boot() error {
 	r.cfg.Store.Rollback()
 
 	for steps := 0; ; steps++ {
-		if steps > r.cfg.MaxSteps {
+		if steps > maxSteps {
 			return ErrStuck
 		}
 		if r.word(wAppDone) != 0 {
@@ -312,50 +307,6 @@ func (r *Runtime) advance(path *task.Path) {
 	}
 	r.setWord(wTaskIdx, 0)
 	r.ctl.Commit()
-}
-
-// InferBounds derives the bound set from the task graph: every
-// sensor-bearing task (declared peripherals other than the radio) is an
-// input producer, and the final task of each path it feeds is the
-// consumer where its data leaves the device. Declared bounds take
-// precedence over inference for their (producer, consumer) pair; remaining
-// inferred pairs get the default age, or no bound at all when def <= 0 —
-// so with no default configured, exactly the declared set is enforced.
-func InferBounds(g *task.Graph, declared []Bound, def simclock.Duration) []Bound {
-	out := append([]Bound(nil), declared...)
-	have := map[string]bool{}
-	for _, b := range declared {
-		have[b.Producer+"\x00"+b.Consumer] = true
-	}
-	for _, p := range g.Paths {
-		last := p.Tasks[len(p.Tasks)-1]
-		for _, t := range p.Tasks {
-			if t == last || !senses(t) {
-				continue
-			}
-			key := t.Name + "\x00" + last.Name
-			if have[key] {
-				continue
-			}
-			have[key] = true
-			if def <= 0 {
-				continue
-			}
-			out = append(out, Bound{Producer: t.Name, Consumer: last.Name, Age: def, Path: p.ID})
-		}
-	}
-	return out
-}
-
-// senses reports whether t collects a sensor input: any declared
-// peripheral that is not the radio.
-func senses(t *task.Task) bool {
-	for _, p := range t.Peripherals {
-		if p != "ble" && p != "radio" {
-			return true
-		}
-	}
-	return false
 }
 
 // HealthBounds is the declared bound set for the health benchmark: the

@@ -126,37 +126,6 @@ func TestStaleInputReCollectedOnce(t *testing.T) {
 	}
 }
 
-// TestInferBounds covers graph inference: sensor-bearing tasks pair with
-// their path-final consumers under the default age, declared bounds take
-// precedence, and a zero default infers nothing.
-func TestInferBounds(t *testing.T) {
-	app := health.New()
-	// No default: exactly the declared set.
-	got := freshness.InferBounds(app.Graph, freshness.HealthBounds(), 0)
-	if len(got) != 1 || got[0].Producer != "accel" {
-		t.Fatalf("zero default must infer nothing, got %+v", got)
-	}
-	// With a default, every (sensor, path-final) pair without a declared
-	// bound appears: bodyTemp->send (path 1), micSense->send (path 3) —
-	// accel->send is declared so it keeps its 5-minute age.
-	got = freshness.InferBounds(app.Graph, freshness.HealthBounds(), 7*simclock.Minute)
-	byKey := map[string]freshness.Bound{}
-	for _, b := range got {
-		byKey[b.Producer+"->"+b.Consumer] = b
-	}
-	if len(got) != 3 {
-		t.Fatalf("want 3 bounds (1 declared + 2 inferred), got %+v", got)
-	}
-	if b := byKey["accel->send"]; b.Age != 5*simclock.Minute {
-		t.Fatalf("declared bound must win over inference, got %+v", b)
-	}
-	for _, k := range []string{"bodyTemp->send", "micSense->send"} {
-		if b, ok := byKey[k]; !ok || b.Age != 7*simclock.Minute {
-			t.Fatalf("missing or wrong inferred bound %s: %+v", k, byKey)
-		}
-	}
-}
-
 // TestBoundValidation exercises constructor rejection of malformed bounds
 // through the core facade.
 func TestBoundValidation(t *testing.T) {

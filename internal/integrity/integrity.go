@@ -216,9 +216,6 @@ func (m *Manager) Protect(name string, data *nvm.Committed, class Class, reset f
 	return guard
 }
 
-// Guards returns the registered guards in registration order.
-func (m *Manager) Guards() []*Guard { return m.guards }
-
 // Stats returns a copy of the activity counters.
 func (m *Manager) Stats() Stats {
 	s := m.stats

@@ -53,9 +53,6 @@ var engineFor = func(cm *codegen.Machine, m *ir.Machine) stepper { return cm }
 // Machine returns the monitor's state machine definition.
 func (m *Monitor) Machine() *ir.Machine { return m.machine }
 
-// Binding returns the property binding the monitor checks.
-func (m *Monitor) Binding() transform.Binding { return m.binding }
-
 // Deliver processes one event exactly once. If the event was already
 // processed before a power failure interrupted the set, the committed
 // verdict is returned without re-stepping the machine.

@@ -819,12 +819,6 @@ type Region struct {
 // Size returns the region length in bytes.
 func (r *Region) Size() int { return r.size }
 
-// Owner returns the component that allocated the region.
-func (r *Region) Owner() string { return r.owner }
-
-// Name returns the variable name of the region.
-func (r *Region) Name() string { return r.name }
-
 // check bounds one access; the panic construction is outlined into
 // checkFail so check itself stays within the inlining budget — region
 // accessors sit on the simulation's innermost loop and the call overhead

@@ -76,14 +76,10 @@ func (t Time) String() string { return Duration(t).String() }
 // Clock is the persistent simulated clock. The zero value is a clock at the
 // instant of first boot with perfect off-time accounting.
 //
-// DriftPPM and OffJitterPPM model the two error sources of real persistent
-// timekeepers: crystal drift while powered, and estimation error of the time
-// spent powered off. Both default to zero (a perfect clock), which is what
-// the paper's evaluation assumes.
+// OffJitterPPM models the estimation error real persistent timekeepers make
+// of the time spent powered off. It defaults to zero (a perfect clock),
+// which is what the paper's evaluation assumes.
 type Clock struct {
-	// DriftPPM is the powered-on drift in parts per million. Positive
-	// values make the clock run fast.
-	DriftPPM float64
 	// OffJitterPPM bounds the random error applied to each off period, in
 	// parts per million of that period. Requires Rand to be set.
 	OffJitterPPM float64
@@ -107,9 +103,6 @@ func (c *Clock) Now() Time { return c.now }
 func (c *Clock) Advance(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: negative advance %d", d))
-	}
-	if c.DriftPPM != 0 {
-		d += Duration(float64(d) * c.DriftPPM / 1e6)
 	}
 	c.now = c.now.Add(d)
 	c.onTime += d

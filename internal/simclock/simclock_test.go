@@ -67,14 +67,6 @@ func TestPowerFailureKeepsCounting(t *testing.T) {
 	}
 }
 
-func TestDrift(t *testing.T) {
-	c := Clock{DriftPPM: 1e6} // clock runs 2x fast
-	c.Advance(1 * Second)
-	if c.Now() != Time(2*Second) {
-		t.Fatalf("Now with 100%% drift = %v, want 2s", c.Now())
-	}
-}
-
 func TestOffJitterBounded(t *testing.T) {
 	c := Clock{OffJitterPPM: 1e5, Rand: rand.New(rand.NewSource(42))}
 	for i := 0; i < 100; i++ {
@@ -125,7 +117,7 @@ func TestMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// Property: Now equals OnTime + OffTime for a drift-free, jitter-free clock.
+// Property: Now equals OnTime + OffTime for a jitter-free clock.
 func TestTimeDecompositionProperty(t *testing.T) {
 	f := func(ons []uint16, offs []uint16) bool {
 		var c Clock
