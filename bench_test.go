@@ -1,9 +1,15 @@
-// Package bench is the benchmark harness: one testing.B benchmark per table
-// and figure of the paper's evaluation (run them all with
-// `go test -bench=. -benchmem`), plus ablation benchmarks for the design
-// choices DESIGN.md calls out — interpreted vs generated monitors, coupled
-// vs decoupled property checking, and the cost of persisting monitor state
-// on every event.
+// Package bench holds the root benchmarks: one testing.B benchmark per
+// table and figure of the paper's evaluation, plus ablation benchmarks for
+// the design choices DESIGN.md calls out — interpreted vs generated
+// monitors, coupled vs decoupled property checking, and the cost of
+// persisting monitor state on every event. They are for profiling one layer
+// locally, for example
+//
+//	go test -run '^$' -bench SingleRunArtemis -benchmem -cpuprofile cpu.out
+//
+// and no gate reads their timings. The repository benchmark, and the CI
+// gate on it, is perfbench (docs/PERFORMANCE.md); perf_test.go pins the
+// allocations of the hot operations benchmarked here.
 //
 // Each FigureN benchmark regenerates that figure's full data series per
 // iteration, so ns/op is the cost of reproducing the experiment; the
@@ -11,10 +17,7 @@
 package bench
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -23,16 +26,10 @@ import (
 	"github.com/tinysystems/artemis-go/internal/codegen/gen"
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/experiments"
-	"github.com/tinysystems/artemis-go/internal/fleet"
-	"github.com/tinysystems/artemis-go/internal/fleetserver"
-	"github.com/tinysystems/artemis-go/internal/freshness"
 	"github.com/tinysystems/artemis-go/internal/health"
 	"github.com/tinysystems/artemis-go/internal/ir"
 	"github.com/tinysystems/artemis-go/internal/mayfly"
-	"github.com/tinysystems/artemis-go/internal/monitor"
-	"github.com/tinysystems/artemis-go/internal/nvm"
 	"github.com/tinysystems/artemis-go/internal/simclock"
-	"github.com/tinysystems/artemis-go/internal/transform"
 )
 
 func benchOptions() experiments.Options {
@@ -130,43 +127,16 @@ func BenchmarkOcelotRun(b *testing.B) {
 }
 
 func benchmarkSingleRun(b *testing.B, sys core.System) {
-	// The spec compiles once per process (sweeps share it the same way);
-	// per-iteration cost is deployment assembly + the run itself, on a
-	// pool-recycled NVM image.
-	var compiled *transform.Result
-	if sys == core.Artemis {
-		var err error
-		compiled, err = health.CompiledShared()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkOp(b, singleRunOp(b, sys))
+}
+
+// benchmarkOp times op with allocations reported; op's setup has already
+// run.
+func benchmarkOp(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		app := health.New()
-		cfg := core.Config{
-			System:    sys,
-			Graph:     app.Graph,
-			StoreKeys: health.Keys(),
-			Compiled:  compiled,
-			Supply:    core.SupplyConfig{Kind: core.SupplyContinuous},
-		}
-		switch sys {
-		case core.Mayfly:
-			cfg.Constraints = mayfly.HealthConstraints()
-		case core.Ocelot:
-			cfg.FreshnessBounds = freshness.HealthBounds()
-		}
-		f, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := f.Run()
-		if err != nil || !rep.Completed {
-			b.Fatalf("run failed: %v %+v", err, rep)
-		}
-		f.Release()
+		op()
 	}
 }
 
@@ -277,24 +247,7 @@ func BenchmarkAblationGeneratedMonitor(b *testing.B) {
 // power-failure-resilient path on the compiled engine every deployment
 // runs — against the volatile baselines above.
 func BenchmarkAblationPersistentMonitor(b *testing.B) {
-	res, err := health.New().Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem := nvm.New(256 * 1024)
-	set, err := monitor.NewSet(mem, res)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set.Reset()
-	evs := benchEvents(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := monitor.Event{Event: evs[i%len(evs)], Seq: uint64(i) + 1}
-		if _, err := set.Deliver(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkOp(b, persistentDeliverOp(b))
 }
 
 // BenchmarkAblationCoupledCheck measures Mayfly-style inline property
@@ -350,24 +303,6 @@ func benchWorkerCounts() []int {
 		counts = append(counts, n)
 	}
 	return counts
-}
-
-// BenchmarkExhaustiveSweep measures the exhaustive crash-point exploration
-// (internal/chaos Explorer, budget 0 = every committing write) at each
-// worker count. Output is byte-identical across the ladder; only wall-clock
-// should move.
-func BenchmarkExhaustiveSweep(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ex := chaos.NewHealthExplorer(7, 0)
-				ex.Workers = w
-				if _, err := ex.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkFlipCampaign measures the bit-flip fault campaign (24 seeded
@@ -426,171 +361,15 @@ func BenchmarkSpecSwap(b *testing.B) {
 	}
 }
 
-// fleetWorkerLadder is the worker ladder for BenchmarkFleetSteps: 1, 2, 4,
-// 8 regardless of host CPU count, so baselines from different machines name
-// the same sub-benchmarks. Entries above GOMAXPROCS measure time-slicing,
-// not parallel speedup (benchjson's speedup table says so explicitly).
-func fleetWorkerLadder() []int { return []int{1, 2, 4, 8} }
-
-// BenchmarkFleetSteps measures the sharded fleet stepping engine: 16
-// heterogeneous devices (the example deployments mixed) over 8 shards, one
-// full fleet step per op. The custom device-steps/sec metric is the
-// throughput headline; the digest is checked against the serial run so the
-// benchmark also re-proves scheduling-independence on every run.
-func BenchmarkFleetSteps(b *testing.B) {
-	const devices, shards = 16, 8
-	ref, err := fleet.New(fleet.Config{Devices: devices, Shards: shards, Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	refStep, err := ref.Step(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range fleetWorkerLadder() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng, err := fleet.New(fleet.Config{Devices: devices, Shards: shards, Workers: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last fleet.StepResult
-			for i := 0; i < b.N; i++ {
-				if last, err = eng.Step(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if eng.Steps() == 1 && last.Digest != refStep.Digest {
-				b.Fatalf("workers=%d digest %#x diverged from serial %#x", w, last.Digest, refStep.Digest)
-			}
-			b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "device-steps/sec")
-		})
-	}
-}
-
 // BenchmarkNVMWrite pins the FRAM write path — the innermost loop of every
 // simulation — at zero allocations per store.
 func BenchmarkNVMWrite(b *testing.B) {
-	mem := nvm.New(4096)
-	reg := mem.MustAlloc("bench", "scratch", 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reg.WriteUint64(0, uint64(i))
-		reg.SetByteAt(16, byte(i))
-		reg.Put32(24, uint32(i))
-	}
+	benchmarkOp(b, nvmWriteOp(b))
 }
 
 // BenchmarkNVMHash pins Memory.Hash at O(1): the digest is maintained
 // incrementally on each differing-byte store, so snapshotting a 256 KiB
 // image costs nothing beyond the read of one word.
 func BenchmarkNVMHash(b *testing.B) {
-	mem := nvm.New(256 * 1024)
-	reg := mem.MustAlloc("bench", "scratch", 64)
-	reg.WriteUint64(0, 0xdeadbeef)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var h uint64
-	for i := 0; i < b.N; i++ {
-		h ^= mem.Hash()
-	}
-	_ = h
-}
-
-// BenchmarkFleetServerSteps measures the fleet serving layer end to end:
-// one server-driven fleet step per op over 16 heterogeneous devices —
-// reshard bookkeeping, queue handoff, the engine step, and the stats
-// fold-back. The digest is checked against a serial reference server so
-// the benchmark re-proves scheduling-independence of the serving layer on
-// every run; device-steps/sec is the fleet-serving throughput headline.
-func BenchmarkFleetServerSteps(b *testing.B) {
-	const devices = 16
-	seed := func(workers int) *fleetserver.Server {
-		b.Helper()
-		s, err := fleetserver.New(fleetserver.Config{Shards: 8, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		specs := s.SpecNames()
-		for i := 0; i < devices; i++ {
-			if _, err := s.Register(fmt.Sprintf("dev-%d", i), specs[i%len(specs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return s
-	}
-	ref := seed(1)
-	if _, err := ref.StepOnce(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range fleetWorkerLadder() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			s := seed(w)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.StepOnce(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if s.Steps() == 1 && s.Digest() != ref.Digest() {
-				b.Fatalf("workers=%d digest %#x diverged from serial %#x", w, s.Digest(), ref.Digest())
-			}
-			b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "device-steps/sec")
-		})
-	}
-}
-
-// BenchmarkFleetServerIngest measures batched event ingestion through the
-// HTTP handler: one POST /v1/events:batch of 16 events per op, stepping the
-// fleet to drain whenever backpressure answers 429. events/sec is the
-// ingest throughput headline.
-func BenchmarkFleetServerIngest(b *testing.B) {
-	s, err := fleetserver.New(fleetserver.Config{Shards: 4, QueueDepth: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const devices, batch = 8, 16
-	for i := 0; i < devices; i++ {
-		if _, err := s.Register(fmt.Sprintf("dev-%d", i), "health"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var body bytes.Buffer
-	body.WriteString(`{"events":[`)
-	for i := 0; i < batch; i++ {
-		if i > 0 {
-			body.WriteByte(',')
-		}
-		fmt.Fprintf(&body, `{"device":"dev-%d","kind":"start","task":"send"}`, i%devices)
-	}
-	body.WriteString(`]}`)
-	payload := body.Bytes()
-	h := s.Handler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/v1/events:batch", bytes.NewReader(payload))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code == 429 {
-			b.StopTimer()
-			if _, err := s.StepOnce(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			req = httptest.NewRequest("POST", "/v1/events:batch", bytes.NewReader(payload))
-			rec = httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-		}
-		if rec.Code != 200 {
-			b.Fatalf("ingest status %d: %s", rec.Code, rec.Body)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	benchmarkOp(b, nvmHashOp(b))
 }

@@ -7,7 +7,6 @@
 //	artemis-fleet -devices 64                # pre-register a 64-device mix
 //	artemis-fleet -listen :9000 -shards 8    # placement knobs (results identical)
 //	artemis-fleet -step-interval 5ms         # faster stepping cadence
-//	artemis-fleet -loadgen -devices 1000 -loadgen-steps 20   # throughput report, no serving
 //
 // The API (see docs/FLEET.md):
 //
@@ -57,18 +56,9 @@ func run(args []string, w io.Writer) error {
 		queue    = fs.Int("queue-depth", 256, "per-device ingestion queue bound; full queues answer 429")
 		interval = fs.Duration("step-interval", 10*time.Millisecond, "pause between fleet steps")
 		devices  = fs.Int("devices", 0, "pre-register N devices (round-robin over the example specs)")
-		loadgen  = fs.Bool("loadgen", false, "run the load generator instead of serving: register -devices, drive -loadgen-steps, report throughput")
-		lgSteps  = fs.Int("loadgen-steps", 10, "fleet steps the load generator drives (with -loadgen)")
-		lgEvents = fs.Int("loadgen-events", 0, "events ingested before each loadgen step; 0 = one per device")
-		seed     = fs.Uint64("seed", 1, "loadgen RNG seed; the digest is reproducible per seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	explicit := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
-	if !*loadgen && (explicit["loadgen-steps"] || explicit["loadgen-events"] || explicit["seed"]) {
-		return fmt.Errorf("-loadgen-steps, -loadgen-events, and -seed configure the load generator; add -loadgen")
 	}
 	if *devices < 0 {
 		return fmt.Errorf("-devices %d: must be >= 0", *devices)
@@ -83,21 +73,6 @@ func run(args []string, w io.Writer) error {
 	})
 	if err != nil {
 		return err
-	}
-
-	if *loadgen {
-		rep, err := srv.RunLoadgen(context.Background(), fleetserver.LoadgenConfig{
-			Devices: *devices, Steps: *lgSteps, EventsPerStep: *lgEvents, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "loadgen:    %d devices, %d fleet steps\n", rep.Devices, rep.Steps)
-		fmt.Fprintf(w, "digest:     %016x (%d device-steps)\n", rep.Digest, rep.DeviceSteps)
-		fmt.Fprintf(w, "ingest:     %d accepted, %d rejected (backpressure)\n", rep.Accepted, rep.Rejected)
-		fmt.Fprintf(w, "throughput: %.0f device-steps/sec, %.0f events/sec (%.3fs wall)\n",
-			rep.DeviceStepsPerSec, rep.EventsPerSec, rep.Elapsed.Seconds())
-		return nil
 	}
 
 	specs := srv.SpecNames()

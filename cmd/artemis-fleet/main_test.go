@@ -2,40 +2,9 @@ package main
 
 import (
 	"bytes"
-	"regexp"
 	"strings"
 	"testing"
 )
-
-// TestLoadgenMode runs the generator end to end through the CLI and pins
-// the report shape plus digest reproducibility for a fixed seed.
-func TestLoadgenMode(t *testing.T) {
-	runOnce := func() string {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := run([]string{"-loadgen", "-devices", "6", "-loadgen-steps", "2", "-seed", "7"}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	out := runOnce()
-	for _, want := range []string{"loadgen:", "digest:", "ingest:", "throughput:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("loadgen report missing %q:\n%s", want, out)
-		}
-	}
-	digest := regexp.MustCompile(`digest:\s+([0-9a-f]{16})`)
-	m := digest.FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no digest line:\n%s", out)
-	}
-	if m[1] == strings.Repeat("0", 16) {
-		t.Error("loadgen digest is zero")
-	}
-	if m2 := digest.FindStringSubmatch(runOnce()); m2 == nil || m2[1] != m[1] {
-		t.Errorf("loadgen digest not reproducible: %v vs %v", m, m2)
-	}
-}
 
 // TestFlagValidation pins the CLI's rejected combinations.
 func TestFlagValidation(t *testing.T) {
@@ -43,9 +12,6 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-loadgen-steps", "5"}, "add -loadgen"},
-		{[]string{"-loadgen-events", "5"}, "add -loadgen"},
-		{[]string{"-seed", "9"}, "add -loadgen"},
 		{[]string{"-devices", "-1"}, "must be >= 0"},
 		{[]string{"-queue-depth", "0"}, "must be positive"},
 	}

@@ -2,259 +2,195 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-const sampleOutput = `goos: linux
-goarch: amd64
-pkg: github.com/tinysystems/artemis-go
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkExhaustiveSweep/workers=1         	       2	 780865505 ns/op	604112488 B/op	 1550580 allocs/op
-BenchmarkExhaustiveSweep/workers=2         	       2	 390432752 ns/op	604122216 B/op	 1550139 allocs/op
-BenchmarkFlipCampaign/workers=1-4          	     100	  14836512 ns/op	13539840 B/op	   34793 allocs/op
-BenchmarkFlipCampaign/workers=4-4          	     100	   4945504 ns/op	13541240 B/op	   34805 allocs/op
-BenchmarkNVMWrite                          	13417772	      88.78 ns/op	       0 B/op	       0 allocs/op
-BenchmarkFleetSteps/workers=1              	     742	   1480211 ns/op	      9752 device-steps/sec	  173042 B/op	    2884 allocs/op
-PASS
-ok  	github.com/tinysystems/artemis-go	1.566s
-`
+// testMetrics mirror two of BENCHMARK.json's end-to-end metrics.
+var testMetrics = []metricSpec{
+	{Name: "throughput_per_s", Better: "higher", Bound: 0.25},
+	{Name: "latency_p50_ms", Better: "lower", Bound: 0.25},
+}
+
+// runOutput is a canned perfbench standard output: the env line, a report
+// line, then the JSON result line.
+func runOutput(correct bool, attempted, failed int, throughput, p50 float64) string {
+	return fmt.Sprintf(`env {"workload":"fleet-steady","seed":1}
+latency: n=100 p50=%[5]g ms
+{"correct":%[1]t,"attempted":%[2]d,"failed":%[3]d,"metrics":{"throughput_per_s":{"value":%[4]g,"unit":"1/s"},"latency_p50_ms":{"value":%[5]g,"unit":"ms"}}}
+`, correct, attempted, failed, throughput, p50)
+}
+
+func mustParse(t *testing.T, out string) result {
+	t.Helper()
+	r, err := parse(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// pairsOf builds pairs whose base runs all report throughput 1000 and p50
+// 1 ms, and whose new runs report the given throughputs.
+func pairsOf(t *testing.T, throughputs ...float64) []pair {
+	var ps []pair
+	for i, tp := range throughputs {
+		ps = append(ps, pair{
+			baseFile: fmt.Sprintf("base-%d", i+1), newFile: fmt.Sprintf("new-%d", i+1),
+			base: mustParse(t, runOutput(true, 10, 0, 1000, 1)),
+			new:  mustParse(t, runOutput(true, 10, 0, tp, 1)),
+		})
+	}
+	return ps
+}
 
 func TestParse(t *testing.T) {
-	rep, err := parse(sampleOutput)
-	if err != nil {
-		t.Fatal(err)
+	r := mustParse(t, runOutput(false, 12, 3, 6500.5, 0.75))
+	if r.Correct || r.Attempted != 12 || r.Failed != 3 {
+		t.Errorf("parsed %+v", r)
 	}
-	if len(rep.Benchmarks) != 6 {
-		t.Fatalf("parsed %d benchmarks, want 6", len(rep.Benchmarks))
+	if got := r.Metrics["throughput_per_s"].Value; got != 6500.5 {
+		t.Errorf("throughput_per_s = %v, want 6500.5", got)
 	}
-	if rep.Env.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
-		t.Errorf("cpu = %q", rep.Env.CPU)
-	}
-	nvm := rep.Benchmarks[4]
-	if nvm.Name != "NVMWrite" || nvm.NsPerOp != 88.78 || nvm.AllocsPerOp != 0 {
-		t.Errorf("NVMWrite parsed as %+v", nvm)
-	}
-	if nvm.Extra != nil {
-		t.Errorf("NVMWrite has spurious extra metrics: %+v", nvm.Extra)
-	}
-	if flip := rep.Benchmarks[2]; flip.Name != "FlipCampaign/workers=1" {
-		t.Errorf("GOMAXPROCS suffix not stripped: %q", flip.Name)
-	}
-	// A b.ReportMetric custom metric sits between ns/op and B/op; the
-	// line must still parse and the metric must be recorded.
-	fleet := rep.Benchmarks[5]
-	if fleet.Name != "FleetSteps/workers=1" || fleet.NsPerOp != 1480211 ||
-		fleet.BytesPerOp != 173042 || fleet.AllocsPerOp != 2884 {
-		t.Errorf("FleetSteps parsed as %+v", fleet)
-	}
-	if got := fleet.Extra["device-steps/sec"]; got != 9752 {
-		t.Errorf("device-steps/sec = %v, want 9752", got)
-	}
-}
-
-func TestSpeedups(t *testing.T) {
-	rep, err := parse(sampleOutput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Speedups) != 2 {
-		t.Fatalf("got %d speedups, want 2: %+v", len(rep.Speedups), rep.Speedups)
-	}
-	sweep := rep.Speedups[0]
-	if sweep.Benchmark != "ExhaustiveSweep" || sweep.Workers != 2 {
-		t.Errorf("first speedup = %+v", sweep)
-	}
-	if sweep.Ratio < 1.99 || sweep.Ratio > 2.01 {
-		t.Errorf("ExhaustiveSweep ratio = %v, want ~2.0", sweep.Ratio)
-	}
-	flip := rep.Speedups[1]
-	if flip.Benchmark != "FlipCampaign" || flip.Workers != 4 || flip.Ratio < 2.99 || flip.Ratio > 3.01 {
-		t.Errorf("FlipCampaign speedup = %+v, want workers=4 ratio ~3.0", flip)
-	}
-}
-
-func TestSpeedupNoteWhenWorkersExceedProcs(t *testing.T) {
-	rep, err := parse(sampleOutput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A single-core host cannot run any of the parallel variants in
-	// parallel: every ratio must carry the time-slicing caveat.
-	ann := speedups(rep.Benchmarks, 1)
-	if len(ann) != 2 {
-		t.Fatalf("got %d speedups, want 2", len(ann))
-	}
-	for _, s := range ann {
-		if s.Note == "" {
-			t.Errorf("workers=%d on GOMAXPROCS=1 has no note: %+v", s.Workers, s)
-		}
-	}
-	// With enough cores the note must be absent.
-	for _, s := range speedups(rep.Benchmarks, 8) {
-		if s.Note != "" {
-			t.Errorf("workers=%d on GOMAXPROCS=8 unexpectedly annotated: %q", s.Workers, s.Note)
-		}
-	}
-}
-
-func TestParsePercent(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want float64
-		err  bool
-	}{
-		{"10%", 0.10, false},
-		{"10", 0.10, false},
-		{"0.1", 0.10, false},
-		{"25%", 0.25, false},
-		{"0%", 0, false},
-		{"-5%", 0, true},
-		{"lots", 0, true},
-	} {
-		got, err := parsePercent(c.in)
-		if c.err {
-			if err == nil {
-				t.Errorf("parsePercent(%q) accepted", c.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parsePercent(%q): %v", c.in, err)
-		} else if got < c.want-1e-9 || got > c.want+1e-9 {
-			t.Errorf("parsePercent(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func benchReport(benches ...Benchmark) *Report {
-	return &Report{Schema: "artemis-go/bench/v1", Benchmarks: benches}
-}
-
-func TestCompareFlagsRegressions(t *testing.T) {
-	old := benchReport(
-		Benchmark{Name: "SingleRunArtemis", NsPerOp: 100_000, AllocsPerOp: 200},
-		Benchmark{Name: "NVMWrite", NsPerOp: 90, AllocsPerOp: 0},
-		Benchmark{Name: "Dropped", NsPerOp: 10, AllocsPerOp: 1},
-	)
-	cur := benchReport(
-		Benchmark{Name: "SingleRunArtemis", NsPerOp: 125_000, AllocsPerOp: 205}, // ns/op +25%
-		Benchmark{Name: "NVMWrite", NsPerOp: 91, AllocsPerOp: 1},                // allocs 0 -> 1
-		Benchmark{Name: "Fresh", NsPerOp: 5, AllocsPerOp: 0},
-	)
-	var buf bytes.Buffer
-	regs := compare(old, cur, 0.10, &buf)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions, want 2: %v\n%s", len(regs), regs, buf.String())
-	}
-	if !strings.Contains(regs[0], "SingleRunArtemis: ns/op") {
-		t.Errorf("first regression = %q", regs[0])
-	}
-	if !strings.Contains(regs[1], "NVMWrite: allocs/op 0 -> 1") {
-		t.Errorf("second regression = %q", regs[1])
-	}
-	for _, want := range []string{"new benchmark", "dropped from suite"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("report missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
-func TestComparePassesWithinThreshold(t *testing.T) {
-	old := benchReport(Benchmark{Name: "SingleRunArtemis", NsPerOp: 100_000, AllocsPerOp: 200})
-	cur := benchReport(Benchmark{Name: "SingleRunArtemis", NsPerOp: 105_000, AllocsPerOp: 210})
-	var buf bytes.Buffer
-	if regs := compare(old, cur, 0.10, &buf); len(regs) != 0 {
-		t.Fatalf("within-threshold drift flagged: %v", regs)
-	}
-	// Improvements never fail, however large.
-	faster := benchReport(Benchmark{Name: "SingleRunArtemis", NsPerOp: 20_000, AllocsPerOp: 50})
-	if regs := compare(old, faster, 0.10, &buf); len(regs) != 0 {
-		t.Fatalf("improvement flagged as regression: %v", regs)
-	}
-}
-
-func TestCompareGeomeanSummary(t *testing.T) {
-	// 4x and 1x speedups: geomean = sqrt(4*1) = 2. The new-only benchmark
-	// must not contribute.
-	old := benchReport(
-		Benchmark{Name: "A", NsPerOp: 400, AllocsPerOp: 1},
-		Benchmark{Name: "B", NsPerOp: 100, AllocsPerOp: 1},
-	)
-	cur := benchReport(
-		Benchmark{Name: "A", NsPerOp: 100, AllocsPerOp: 1},
-		Benchmark{Name: "B", NsPerOp: 100, AllocsPerOp: 1},
-		Benchmark{Name: "Fresh", NsPerOp: 5, AllocsPerOp: 0},
-	)
-	var buf bytes.Buffer
-	compare(old, cur, 0.10, &buf)
-	if want := "geomean ns/op speedup: 2.000x over 2 shared benchmark(s)"; !strings.Contains(buf.String(), want) {
-		t.Errorf("report missing %q:\n%s", want, buf.String())
-	}
-	// No shared benchmarks: no geomean line rather than a NaN.
-	var none bytes.Buffer
-	compare(benchReport(Benchmark{Name: "X", NsPerOp: 1}), benchReport(Benchmark{Name: "Y", NsPerOp: 1}), 0.10, &none)
-	if strings.Contains(none.String(), "geomean") {
-		t.Errorf("geomean printed with no shared benchmarks:\n%s", none.String())
-	}
-}
-
-func TestCompareFilesEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rep *Report) string {
-		t.Helper()
-		enc, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, enc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	old := write("old.json", benchReport(Benchmark{Name: "SingleRunArtemis", NsPerOp: 100_000, AllocsPerOp: 200}))
-	bad := write("bad.json", benchReport(Benchmark{Name: "SingleRunArtemis", NsPerOp: 150_000, AllocsPerOp: 200}))
-	good := write("good.json", benchReport(Benchmark{Name: "SingleRunArtemis", NsPerOp: 101_000, AllocsPerOp: 200}))
-
-	var buf bytes.Buffer
-	if err := run([]string{"-compare", "-max-regress", "10%", old, bad}, &buf); err == nil {
-		t.Fatal("50% ns/op regression passed the gate")
-	} else if !strings.Contains(err.Error(), "regressed beyond 10%") {
-		t.Errorf("unexpected error: %v", err)
-	}
-	buf.Reset()
-	if err := run([]string{"-compare", "-max-regress", "10%", old, good}, &buf); err != nil {
-		t.Fatalf("1%% drift failed the gate: %v", err)
-	}
-	if !strings.Contains(buf.String(), "no regressions") {
-		t.Errorf("pass output missing summary:\n%s", buf.String())
-	}
-	if err := run([]string{"-compare", old}, &buf); err == nil {
-		t.Fatal("-compare with one file accepted")
+	if got := r.Metrics["latency_p50_ms"].Value; got != 0.75 {
+		t.Errorf("latency_p50_ms = %v, want 0.75", got)
 	}
 }
 
 func TestParseRejectsEmpty(t *testing.T) {
-	if _, err := parse("PASS\nok\n"); err == nil {
-		t.Fatal("empty benchmark output accepted")
+	for _, out := range []string{"", "env {}\nperfbench: fleet-steady: boom\n", `{"correct":true}` + "\n"} {
+		if _, err := parse(out); err == nil {
+			t.Errorf("parse(%q) accepted", out)
+		}
 	}
 }
 
-func TestEmitToStdout(t *testing.T) {
-	// Exercise run end to end with the cheapest possible benchmark set;
-	// -benchtime 1x keeps this a smoke test, not a measurement.
-	var out bytes.Buffer
-	if err := run([]string{"-bench", "NVMHash", "-benchtime", "1x", "-pkg", "github.com/tinysystems/artemis-go", "-o", "-"}, &out); err != nil {
+// A median change beyond the bound fails, even when one pair is fine.
+func TestCompareFlagsRegressions(t *testing.T) {
+	var buf bytes.Buffer
+	failures, err := compare(testMetrics, pairsOf(t, 700, 690, 1010, 650), &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
-	for _, want := range []string{`"schema": "artemis-go/bench/v1"`, `"name": "NVMHash"`, `"allocs_per_op"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %s:\n%s", want, s)
+	if len(failures) != 1 || !strings.Contains(failures[0], "throughput_per_s") {
+		t.Fatalf("failures = %q, want one on throughput_per_s\n%s", failures, buf.String())
+	}
+	if !strings.Contains(buf.String(), "+43.9%") {
+		t.Errorf("table lacks the median change +43.9%%:\n%s", buf.String())
+	}
+}
+
+// A median change within the bound passes, even when one pair is beyond.
+func TestComparePassesWithinThreshold(t *testing.T) {
+	var buf bytes.Buffer
+	failures, err := compare(testMetrics, pairsOf(t, 900, 1050, 500, 820), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 0 {
+		t.Fatalf("failures = %q\n%s", failures, buf.String())
+	}
+}
+
+func TestCompareFailsIncorrectRun(t *testing.T) {
+	ps := pairsOf(t, 1000, 1000, 1000, 1000)
+	ps[2].new.Correct = false
+	failures, err := compare(testMetrics, ps, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 1 || !strings.Contains(failures[0], "new-3 is not correct") {
+		t.Fatalf("failures = %q, want new-3 not correct", failures)
+	}
+}
+
+// A new run that fails a larger share of its operations than its base run
+// fails the gate, whatever its correct flag says.
+func TestCompareFailsHigherFailureShare(t *testing.T) {
+	ps := pairsOf(t, 1000, 1000, 1000, 1000)
+	ps[0].base.Failed, ps[0].base.Attempted = 1, 10
+	ps[0].new.Failed, ps[0].new.Attempted = 1, 20 // smaller share: fine
+	ps[1].new.Failed = 1
+	failures, err := compare(testMetrics, ps, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failures) != 1 || !strings.Contains(failures[0], "pair 2: new-2 failed 1/10") {
+		t.Fatalf("failures = %q, want pair 2's failure share", failures)
+	}
+}
+
+func TestCompareRejectsMissingMetric(t *testing.T) {
+	ps := pairsOf(t, 1000)
+	delete(ps[0].new.Metrics, "latency_p50_ms")
+	if _, err := compare(testMetrics, ps, &bytes.Buffer{}); err == nil {
+		t.Fatal("a run without latency_p50_ms was compared")
+	}
+}
+
+func TestWorseBy(t *testing.T) {
+	cases := []struct {
+		base, cur float64
+		better    string
+		want      float64
+	}{
+		{100, 130, "lower", 0.3},
+		{100, 50, "higher", 1},
+		{100, 125, "higher", -0.2},
+		{0, 0, "lower", 0},
+		{1, 0, "lower", -1},
+	}
+	for _, c := range cases {
+		if got := worseBy(c.base, c.cur, c.better); got < c.want-1e-12 || got > c.want+1e-12 {
+			t.Errorf("worseBy(%v, %v, %s) = %v, want %v", c.base, c.cur, c.better, got, c.want)
+		}
+	}
+	if got := worseBy(0, 1, "lower"); got <= 0.25 {
+		t.Errorf("growth from a zero base = %v, want beyond any bound", got)
+	}
+	if got := worseBy(1, 0, "higher"); got <= 0.25 {
+		t.Errorf("a rate falling to zero = %v, want beyond any bound", got)
+	}
+}
+
+// TestCompareFilesEndToEnd runs the command on the repository's
+// BENCHMARK.json and run files on disk.
+func TestCompareFilesEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, metrics string) string {
+		path := filepath.Join(dir, name)
+		out := "env {}\n" + `{"correct":true,"attempted":4,"failed":0,"metrics":{` + metrics + "}}\n"
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const base = `"setup_s":{"value":0.2},"throughput_per_s":{"value":6000},"latency_p50_ms":{"value":2},` +
+		`"latency_tail_ms":{"value":9},"peak_rss_mb":{"value":80},"ok_ratio":{"value":1}`
+	slow := strings.Replace(base, `"throughput_per_s":{"value":6000}`, `"throughput_per_s":{"value":4000}`, 1)
+	spec := filepath.Join("..", "..", "BENCHMARK.json")
+
+	var buf bytes.Buffer
+	args := []string{spec, write("base-1", base), write("new-1", base), write("base-2", base), write("new-2", base)}
+	if err := run(args, &buf); err != nil {
+		t.Fatalf("no-op pairs failed: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "gate passed: 2 pair(s), 6 end-to-end metrics") {
+		t.Errorf("no pass line:\n%s", buf.String())
+	}
+
+	args = []string{spec, write("base-1", base), write("new-1", slow), write("base-2", base), write("new-2", slow)}
+	err := run(args, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "throughput_per_s") {
+		t.Fatalf("slowed pairs: err = %v, want a throughput_per_s failure", err)
+	}
+
+	for _, bad := range [][]string{nil, {spec}, {spec, "a"}, {spec, "a", "b", "c"}} {
+		if err := run(bad, &bytes.Buffer{}); err == nil {
+			t.Errorf("args %q accepted", bad)
 		}
 	}
 }

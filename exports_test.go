@@ -36,15 +36,17 @@ type listedPackage struct {
 
 // decl is one exported declaration under internal/ that the scan checks.
 type decl struct {
-	key  string    // "importpath.Name", or "importpath.Type.Field" for a field
+	key  string    // "importpath.Name", or "importpath.Type.Name" for a field or method
 	file string    // declaring file
 	pos  token.Pos // fields only: the field name's position
+	// methods only: the package, receiver base type and method names.
+	path, recv, name string
 }
 
 // repoScan is one type-check pass over the repository's packages, their
-// tests and the perfbench module. For every package-level object of a
-// repository package it records the files that refer to it, and for every
-// repository struct field the files that write it.
+// tests and the perfbench module. For every package-level object and every
+// method of a repository package it records the files that refer to it, and
+// for every repository struct field the files that write it.
 type repoScan struct {
 	root    string
 	fset    *token.FileSet
@@ -53,10 +55,15 @@ type repoScan struct {
 	errs    []error
 	refs    map[string]map[string]bool
 	writes  map[token.Pos]map[string]bool
-	// exports are the exported package-level funcs and vars, and fields the
-	// exported fields of exported structs named *Config or *Options, both
-	// declared in non-generated, non-test files under internal/.
+	// literals are the interface types written out in the checked files,
+	// such as the operand of a type assertion.
+	literals []*types.Interface
+	// exports are the exported package-level funcs and vars, methods the
+	// exported methods, and fields the exported fields of exported structs
+	// named *Config or *Options, all declared in non-generated, non-test
+	// files under internal/.
 	exports []decl
+	methods []decl
 	fields  []decl
 }
 
@@ -118,19 +125,53 @@ func (s *repoScan) check(path string, files []*ast.File, strict bool) *types.Pac
 	}}
 	pkg, _ := conf.Check(path, s.fset, files, info)
 	for id, obj := range info.Uses {
-		if obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+		key := refKey(obj)
+		if key == "" {
 			continue
 		}
-		key := obj.Pkg().Path() + "." + obj.Name()
 		if s.refs[key] == nil {
 			s.refs[key] = map[string]bool{}
 		}
 		s.refs[key][s.fset.Position(id.Pos()).Filename] = true
 	}
+	for _, tv := range info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() {
+			s.literals = append(s.literals, it)
+		}
+	}
 	for _, f := range files {
 		s.recordWrites(info, f)
 	}
 	return pkg
+}
+
+// refKey names what a use of obj refers to: "importpath.Name" for a
+// package-level object, "importpath.Type.Name" for a method of a named
+// type (the generic method for an instantiated one), "" for anything else.
+func refKey(obj types.Object) string {
+	if obj.Pkg() == nil {
+		return ""
+	}
+	if obj.Parent() == obj.Pkg().Scope() {
+		return obj.Pkg().Path() + "." + obj.Name()
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return ""
+	}
+	recv := fn.Origin().Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + named.Obj().Name() + "." + obj.Name()
 }
 
 // recordWrites records every field file f writes: a keyed or positional
@@ -198,8 +239,14 @@ func (s *repoScan) collect(path string, f *ast.File) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			if d.Recv == nil && d.Name.IsExported() {
+			switch {
+			case !d.Name.IsExported():
+			case d.Recv == nil:
 				s.exports = append(s.exports, decl{key: path + "." + d.Name.Name, file: file})
+			default:
+				recv := recvName(d.Recv.List[0].Type)
+				s.methods = append(s.methods, decl{key: path + "." + recv + "." + d.Name.Name, file: file,
+					path: path, recv: recv, name: d.Name.Name})
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
@@ -229,6 +276,27 @@ func (s *repoScan) collect(path string, f *ast.File) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// recvName is the base type name of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
 }
@@ -333,6 +401,81 @@ func newRepoScan() (*repoScan, error) {
 	return s, nil
 }
 
+// interfaces returns, by method name, every interface type the scan saw
+// with a method of that name: the named interfaces declared by the
+// repository and by every package it imports, standard library included,
+// error, and the interface literals of the checked files. Generic
+// interfaces and constraint-only ones are left out: nothing can be called
+// through them without instantiation.
+func (s *repoScan) interfaces() map[string][]*types.Interface {
+	byMethod := map[string][]*types.Interface{}
+	add := func(it *types.Interface) {
+		if !it.IsMethodSet() {
+			return
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			byMethod[name] = append(byMethod[name], it)
+		}
+	}
+	add(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, it := range s.literals {
+		add(it)
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if p == nil || seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				add(it)
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range s.checked {
+		walk(p)
+	}
+	return byMethod
+}
+
+// satisfiesInterface reports whether d's receiver type, or a pointer to
+// it, implements an interface type in byMethod that has d's method, so the
+// method may be called through that interface.
+func (s *repoScan) satisfiesInterface(d decl, byMethod map[string][]*types.Interface) bool {
+	pkg := s.checked[d.path]
+	if pkg == nil {
+		return false
+	}
+	tn, ok := pkg.Scope().Lookup(d.recv).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	t := tn.Type()
+	if named, ok := t.(*types.Named); ok && named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, it := range byMethod[d.name] {
+		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *repoScan) rel(file string) string {
 	rel, _ := filepath.Rel(s.root, file)
 	return filepath.ToSlash(rel)
@@ -358,6 +501,32 @@ func TestNoUnusedExports(t *testing.T) {
 	sort.Strings(unused)
 	for _, u := range unused {
 		t.Errorf("exported but not referenced outside its own file: %s", u)
+	}
+}
+
+// TestNoUnusedExportedMethods fails on any exported method, declared in a
+// non-generated, non-test file under internal/, that no other file of the
+// repository refers to and that may not be called through an interface:
+// its receiver type, or a pointer to it, implements no interface type the
+// scan saw with that method (standard library interfaces included, such as
+// fmt.Stringer, error and http.Handler). References count as for
+// TestNoUnusedExports.
+func TestNoUnusedExportedMethods(t *testing.T) {
+	s := scanRepo(t)
+	byMethod := s.interfaces()
+	var unused []string
+	for _, d := range s.methods {
+		referenced := false
+		for file := range s.refs[d.key] {
+			referenced = referenced || file != d.file
+		}
+		if !referenced && !s.satisfiesInterface(d, byMethod) {
+			unused = append(unused, s.rel(d.file)+": "+d.key)
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("exported method not referenced outside its own file nor satisfying an interface: %s", u)
 	}
 }
 

@@ -73,9 +73,7 @@ type LossyLink struct {
 	dropProb float64
 	dupProb  float64
 
-	attempts int
-	drops    int
-	dups     int
+	drops int
 }
 
 // NewLossyLink builds a link that loses each exchange with probability
@@ -87,26 +85,18 @@ func NewLossyLink(seed int64, dropProb, dupProb float64) *LossyLink {
 
 // Exchange implements monitor.Link.
 func (l *LossyLink) Exchange(seq uint64, attempt int) (delivered bool, duplicates int) {
-	l.attempts++
 	if l.rng.Float64() < l.dropProb {
 		l.drops++
 		return false, 0
 	}
 	if l.rng.Float64() < l.dupProb {
-		l.dups++
 		return true, 1
 	}
 	return true, 0
 }
 
-// Attempts returns the number of exchanges attempted over the link.
-func (l *LossyLink) Attempts() int { return l.attempts }
-
 // Drops returns the number of exchanges the link lost.
 func (l *LossyLink) Drops() int { return l.drops }
-
-// Dups returns the number of duplicated deliveries the link produced.
-func (l *LossyLink) Dups() int { return l.dups }
 
 // BitFlipper injects soft errors into a memory's allocated regions: each
 // Flip picks a random allocation, byte, and bit from the seeded RNG.

@@ -318,14 +318,14 @@ type VolatileSlots struct {
 // and variable values.
 func NewVolatileSlots(m *ir.Machine) (*VolatileSlots, error) {
 	s := &VolatileSlots{words: make([]uint64, len(m.Vars))}
-	if err := s.Reset(m); err != nil {
+	if err := s.reset(m); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Reset returns the slots to the machine's initial configuration.
-func (s *VolatileSlots) Reset(m *ir.Machine) error {
+// reset returns the slots to the machine's initial configuration.
+func (s *VolatileSlots) reset(m *ir.Machine) error {
 	for i, v := range m.Vars {
 		bits, err := v.Init.Encode()
 		if err != nil {

@@ -82,20 +82,20 @@ func (c *Capacitor) BootBudget() Joules {
 	return Joules(0.5 * c.Capacitance * (c.VOn*c.VOn - c.VOff*c.VOff))
 }
 
-// Drain removes e from the capacitor. It reports whether the capacitor
-// stayed above the brown-out threshold; on brown-out the voltage is clamped
-// to VOff (the excess demand is what caused the power failure).
+// Drain removes e from the capacitor. It browns out exactly when Usable()
+// <= e: the voltage is clamped to VOff (the excess demand is what caused the
+// power failure) and Drain reports false. Deciding on Usable itself, not on
+// the stored energy left after e, keeps the two in agreement where rounding
+// puts them a few ulps apart.
 func (c *Capacitor) Drain(e Joules) bool {
 	if e < 0 {
 		panic(fmt.Sprintf("energy: negative drain %g", e))
 	}
-	rem := 0.5*c.Capacitance*c.v*c.v - float64(e)
-	floor := 0.5 * c.Capacitance * c.VOff * c.VOff
-	if rem <= floor {
+	if c.Usable() <= e {
 		c.v = c.VOff
 		return false
 	}
-	c.v = math.Sqrt(2 * rem / c.Capacitance)
+	c.v = math.Sqrt(2 * (0.5*c.Capacitance*c.v*c.v - float64(e)) / c.Capacitance)
 	return true
 }
 

@@ -66,6 +66,28 @@ func TestCapacitorDrainToBrownout(t *testing.T) {
 	}
 }
 
+// TestCapacitorDrainAgreesWithUsable pins the brown-out boundary: after
+// draining 69 µJ of the 288 µJ boot budget, Usable() is 219 µJ plus a few
+// ulps, so draining 219 µJ leaves the capacitor up. Comparing the stored
+// energy left after the drain with the VOff floor instead rounds the other
+// way and browns out.
+func TestCapacitorDrainAgreesWithUsable(t *testing.T) {
+	c := mustCap(t)
+	if !c.Drain(Microjoules(69)) {
+		t.Fatal("draining 69 µJ browned out")
+	}
+	e := Microjoules(219)
+	if before := c.Usable(); before <= e {
+		t.Fatalf("usable %.20g J, want above %.20g J", float64(before), float64(e))
+	}
+	if !c.Drain(e) {
+		t.Fatalf("Drain(%g J) browned out although Usable() was above it", float64(e))
+	}
+	if c.Drain(c.Usable()) {
+		t.Fatal("draining exactly Usable() did not brown out")
+	}
+}
+
 func TestCapacitorDrainNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -103,11 +102,10 @@ type stepResult struct {
 
 // specInfo is what the server learns about a spec by probing its Config
 // once at startup: whether external events can be injected (ARTEMIS
-// runtime) and which task names events may reference (loadgen targets).
+// runtime).
 type specInfo struct {
 	c          examplespecs.Case
 	injectable bool
-	tasks      []string
 }
 
 // Server hosts the fleet behind the registry/ingestion/scrape API.
@@ -190,12 +188,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleetserver: probe spec %q: %w", c.Name, err)
 		}
-		info := specInfo{c: c, injectable: probe.System == core.Artemis}
-		if probe.Graph != nil {
-			info.tasks = probe.Graph.TaskNames()
-			sort.Strings(info.tasks)
-		}
-		s.specs[c.Name] = info
+		s.specs[c.Name] = specInfo{c: c, injectable: probe.System == core.Artemis}
 		s.specNames = append(s.specNames, c.Name)
 	}
 	s.specNames = sortSpecNames(s.specNames)

@@ -45,8 +45,10 @@ func frozenFleet(t *testing.T, cfg Config) *Server {
 // including under the race detector.
 func TestServerFrozenDigestDeterminism(t *testing.T) {
 	const steps = 2
+	// {8, 2}, {8, 4} and {8, 8} put more workers on the shards than a
+	// small host has cores, so time-sliced workers must agree too.
 	combos := []struct{ shards, workers int }{
-		{1, 1}, {2, 1}, {3, 0}, {runtime.GOMAXPROCS(0), 0},
+		{1, 1}, {2, 1}, {3, 0}, {runtime.GOMAXPROCS(0), 0}, {8, 2}, {8, 4}, {8, 8},
 	}
 	var want uint64
 	for i, combo := range combos {
@@ -315,36 +317,6 @@ func TestServerShutdownDrain(t *testing.T) {
 	// Idempotent.
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestServerLoadgen checks the generator registers, ingests, and steps a
-// synthetic fleet, and that its digest is reproducible for a fixed seed.
-func TestServerLoadgen(t *testing.T) {
-	run := func() LoadgenReport {
-		t.Helper()
-		s, err := New(Config{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.RunLoadgen(context.Background(), LoadgenConfig{Devices: 8, Steps: 3, EventsPerStep: 16, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a := run()
-	if a.DeviceSteps != 8*3 {
-		t.Errorf("device steps %d, want 24", a.DeviceSteps)
-	}
-	if a.Accepted == 0 {
-		t.Error("loadgen accepted no events")
-	}
-	if a.Digest == 0 {
-		t.Error("loadgen digest is zero")
-	}
-	if b := run(); b.Digest != a.Digest || b.Accepted != a.Accepted {
-		t.Errorf("loadgen not reproducible: %#x/%d vs %#x/%d", a.Digest, a.Accepted, b.Digest, b.Accepted)
 	}
 }
 

@@ -53,10 +53,10 @@ var engineFor = func(cm *codegen.Machine, m *ir.Machine) stepper { return cm }
 // Machine returns the monitor's state machine definition.
 func (m *Monitor) Machine() *ir.Machine { return m.machine }
 
-// Deliver processes one event exactly once. If the event was already
+// deliver processes one event exactly once. If the event was already
 // processed before a power failure interrupted the set, the committed
 // verdict is returned without re-stepping the machine.
-func (m *Monitor) Deliver(ev Event) ([]ir.Failure, error) {
+func (m *Monitor) deliver(ev Event) ([]ir.Failure, error) {
 	if ev.Seq == 0 {
 		return nil, fmt.Errorf("monitor: event sequence numbers start at 1")
 	}
@@ -89,7 +89,7 @@ func (m *Monitor) Deliver(ev Event) ([]ir.Failure, error) {
 	return fs, nil
 }
 
-// Commit exposes the env's atomic commit to Deliver.
+// Commit exposes the env's atomic commit to deliver.
 func (e *persistentEnv) Commit() { e.c.Commit() }
 
 // Reset returns the monitor to its initial configuration, clearing replay
@@ -100,8 +100,8 @@ func (m *Monitor) Reset() { m.env.reset(true) }
 // the event-replay bookkeeping; used when a path restarts (§3.3).
 func (m *Monitor) reinit() { m.env.reset(false) }
 
-// Rollback discards uncommitted staging after a reboot.
-func (m *Monitor) Rollback() { m.env.rollback() }
+// rollback discards uncommitted staging after a reboot.
+func (m *Monitor) rollback() { m.env.rollback() }
 
 // Backing exposes the monitor's committed region so an integrity guard can
 // wrap it; Reset is the matching recovery callback (the initial state is
@@ -199,7 +199,7 @@ func (s *Set) Reset() {
 // it on every reboot before re-delivering the in-flight event.
 func (s *Set) Rollback() {
 	for _, m := range s.monitors {
-		m.Rollback()
+		m.rollback()
 	}
 }
 
@@ -215,7 +215,7 @@ func (s *Set) Rollback() {
 func (s *Set) Deliver(ev Event) ([]ir.Failure, error) {
 	all := s.scratch[:0]
 	for _, m := range s.monitors {
-		fs, err := m.Deliver(ev)
+		fs, err := m.deliver(ev)
 		if err != nil {
 			return nil, err
 		}

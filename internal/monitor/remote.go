@@ -126,29 +126,15 @@ func NewExchanger(mcu *device.MCU, cost RadioCost) *Exchanger {
 // SetLink installs the radio channel model (nil = perfect link).
 func (x *Exchanger) SetLink(l Link) { x.link = l }
 
-// SetRetryPolicy replaces the retry/backoff schedule.
-func (x *Exchanger) SetRetryPolicy(p RetryPolicy) { x.policy = p }
-
-// Retries returns the number of re-transmissions performed so far.
-func (x *Exchanger) Retries() int { return x.retries }
-
-// Degraded returns how many exchanges exhausted their retries; callers
-// record the fallback they took with noteDegraded.
-func (x *Exchanger) Degraded() int { return x.degraded }
-
-// Duplicates returns how many duplicated deliveries the channel produced
-// (each absorbed by sequence-number idempotence).
-func (x *Exchanger) Duplicates() int { return x.duplicates }
-
 // Energy returns the total radio energy paid through this exchanger.
 func (x *Exchanger) Energy() energy.Joules { return x.energy }
 
 func (x *Exchanger) noteDegraded() { x.degraded++ }
 
-// Exchange runs the retry loop for one outbound transmission carrying the
+// exchange runs the retry loop for one outbound transmission carrying the
 // given sequence number. It reports whether the exchange was delivered and
 // how many duplicates arrived.
-func (x *Exchanger) Exchange(seq uint64) (bool, int) {
+func (x *Exchanger) exchange(seq uint64) (bool, int) {
 	attempts := 1 + x.policy.MaxRetries
 	if attempts < 1 {
 		attempts = 1
@@ -187,7 +173,7 @@ func (x *Exchanger) Exchange(seq uint64) (bool, int) {
 func (x *Exchanger) ControlExchange() (seq uint64, delivered bool, duplicates int) {
 	x.ctrlSeq++
 	seq = ControlSeqBase | x.ctrlSeq
-	delivered, duplicates = x.Exchange(seq)
+	delivered, duplicates = x.exchange(seq)
 	return seq, delivered, duplicates
 }
 
@@ -228,18 +214,18 @@ func NewRemote(set *Set, mcu *device.MCU, cost RadioCost) *Remote {
 func (r *Remote) SetLink(l Link) { r.ex.SetLink(l) }
 
 // SetRetryPolicy replaces the retry/backoff schedule.
-func (r *Remote) SetRetryPolicy(p RetryPolicy) { r.ex.SetRetryPolicy(p) }
+func (r *Remote) SetRetryPolicy(p RetryPolicy) { r.ex.policy = p }
 
 // Retries returns the number of re-transmissions performed so far.
-func (r *Remote) Retries() int { return r.ex.Retries() }
+func (r *Remote) Retries() int { return r.ex.retries }
 
 // Degraded returns how many exchanges exhausted their retries and fell
 // back to local evaluation.
-func (r *Remote) Degraded() int { return r.ex.Degraded() }
+func (r *Remote) Degraded() int { return r.ex.degraded }
 
 // Duplicates returns how many duplicated deliveries the channel produced
 // (each absorbed by sequence-number idempotence).
-func (r *Remote) Duplicates() int { return r.ex.Duplicates() }
+func (r *Remote) Duplicates() int { return r.ex.duplicates }
 
 // Exchanger exposes the shared retry machinery so other traffic over the
 // same link (OTA bundle transfer) runs with the same policy and counters.
@@ -250,7 +236,7 @@ func (r *Remote) Exchanger() *Exchanger { return r.ex }
 // evaluated locally — monitoring degrades rather than silently losing
 // the event.
 func (r *Remote) Deliver(ev Event) ([]ir.Failure, error) {
-	delivered, dups := r.ex.Exchange(ev.Seq)
+	delivered, dups := r.ex.exchange(ev.Seq)
 	if !delivered {
 		r.ex.noteDegraded()
 		r.mcu.Exec(int64(localEvalCyclesPerMachine * len(r.set.monitors)))

@@ -816,9 +816,6 @@ type Region struct {
 	idx int
 }
 
-// Size returns the region length in bytes.
-func (r *Region) Size() int { return r.size }
-
 // check bounds one access; the panic construction is outlined into
 // checkFail so check itself stays within the inlining budget — region
 // accessors sit on the simulation's innermost loop and the call overhead
