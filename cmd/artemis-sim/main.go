@@ -19,12 +19,9 @@
 //	artemis-sim -swap-spec -swap-chunk-loss 0.3 -seed 7    # lossy OTA transfer; swap or clean rollback
 //	artemis-sim -rounds 2000 -cpuprofile cpu.out          # profile the hot path (go tool pprof cpu.out)
 //	artemis-sim -rounds 2000 -memprofile mem.out          # heap profile of the same run
-//	artemis-sim -fleet 64 -shards 8 -workers 0            # sharded fleet stepping engine, one step
-//	artemis-sim -fleet 64 -fleet-steps 10 -metrics fleet.prom   # per-shard Prometheus counters
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -32,14 +29,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"github.com/tinysystems/artemis-go/internal/action"
 	"github.com/tinysystems/artemis-go/internal/camera"
 	"github.com/tinysystems/artemis-go/internal/chaos"
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/device"
-	"github.com/tinysystems/artemis-go/internal/fleet"
 	"github.com/tinysystems/artemis-go/internal/freshness"
 	"github.com/tinysystems/artemis-go/internal/health"
 	"github.com/tinysystems/artemis-go/internal/ir"
@@ -92,9 +87,6 @@ func run(args []string, w io.Writer) (err error) {
 		swapAt   = fs.Uint64("swap-at", 2, "runtime event sequence number after which the OTA transfer starts (with -swap-spec)")
 		swapLoss = fs.Float64("swap-chunk-loss", 0, "per-attempt drop probability on the OTA transfer link (with -swap-spec)")
 		freshStr = fs.String("freshness-bound", "", "override the accel->send staleness bound (e.g. 8m; with -system ocelot)")
-		fleetN   = fs.Int("fleet", 0, "host a fleet of N heterogeneous devices on the sharded stepping engine; 0 = single-device mode. The report's digest line is the determinism anchor: byte-identical at any -shards/-workers combination")
-		shards   = fs.Int("shards", 0, "fleet shards (with -fleet); 0 = one per CPU; the digest line is identical at any count")
-		fleetStp = fs.Int("fleet-steps", 1, "fleet steps to run (with -fleet); each step runs every device once")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -155,27 +147,8 @@ func run(args []string, w io.Writer) (err error) {
 	if *workers < 0 {
 		return fmt.Errorf("-workers %d: must be >= 0 (0 = one per CPU)", *workers)
 	}
-	if *workers != 1 && !*runChaos && *fleetN == 0 {
-		return fmt.Errorf("-workers parallelises the -chaos fault families and the -fleet shards; a single simulation run has nothing to fan out")
-	}
-	if *fleetN < 0 {
-		return fmt.Errorf("-fleet %d: must be >= 0 (0 = single-device mode)", *fleetN)
-	}
-	if (explicit["shards"] || explicit["fleet-steps"]) && *fleetN == 0 {
-		return fmt.Errorf("-shards and -fleet-steps configure the -fleet engine; add -fleet N")
-	}
-	if *fleetN > 0 {
-		switch {
-		case *runChaos || *swapSpec:
-			return fmt.Errorf("-fleet conflicts with -chaos and -swap-spec (the fleet's device mix is fixed)")
-		case *showIR || *dumpFSM != "" || *traceOut != "":
-			return fmt.Errorf("-fleet hosts many deployments; -show-ir, -dump-fsm, and -trace need a single one")
-		case *shards < 0:
-			return fmt.Errorf("-shards %d: must be >= 0 (0 = one per CPU)", *shards)
-		case *fleetStp <= 0:
-			return fmt.Errorf("-fleet-steps %d: must be positive", *fleetStp)
-		}
-		return runFleet(w, *fleetN, *shards, *workers, *fleetStp, *metOut)
+	if *workers != 1 && !*runChaos {
+		return fmt.Errorf("-workers parallelises the -chaos fault families; a single simulation run has nothing to fan out")
 	}
 	if *flight < 0 {
 		return fmt.Errorf("-flight %d: must be >= 0 (0 disables the NVM flight recorder)", *flight)
@@ -403,45 +376,6 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	printReport(w, f, rep, outputKeys)
 	return writeTelemetry(f, *traceOut, *metOut)
-}
-
-// runFleet drives the sharded fleet stepping engine: n heterogeneous
-// devices (the example deployments mixed), stepped for the requested number
-// of fleet steps. The digest line is the determinism anchor — byte-identical
-// at any -shards/-workers combination; the throughput line is wall-clock
-// and varies with the host.
-func runFleet(w io.Writer, n, shards, workers, steps int, metricsPath string) error {
-	eng, err := fleet.New(fleet.Config{Devices: n, Shards: shards, Workers: workers})
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	var last fleet.StepResult
-	for i := 0; i < steps; i++ {
-		if last, err = eng.Step(context.Background()); err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-	total := eng.Steps() * uint64(eng.Devices())
-	fmt.Fprintf(w, "fleet:      %d devices over %d shards, %d step(s)\n", eng.Devices(), eng.ShardCount(), eng.Steps())
-	fmt.Fprintf(w, "digest:     %016x (%d device-steps)\n", last.Digest, total)
-	fmt.Fprintf(w, "throughput: %.0f device-steps/sec (%.3fs wall)\n",
-		float64(total)/elapsed.Seconds(), elapsed.Seconds())
-	if metricsPath != "" {
-		file, err := os.Create(metricsPath)
-		if err != nil {
-			return fmt.Errorf("-metrics: %v", err)
-		}
-		if err := eng.WriteMetrics(file); err != nil {
-			file.Close()
-			return fmt.Errorf("-metrics: %v", err)
-		}
-		if err := file.Close(); err != nil {
-			return fmt.Errorf("-metrics: %v", err)
-		}
-	}
-	return nil
 }
 
 // writeTelemetry exports the run's trace and metrics to the requested paths.

@@ -211,14 +211,6 @@ func TestRejectedFlagCombos(t *testing.T) {
 		{[]string{"-system", "ocelot", "-dump-fsm", "/tmp/fsm"}, "-system artemis"},
 		{[]string{"-system", "ocelot", "-app", "camera"}, "only -app health"},
 		{[]string{"-freshness-bound", "8m"}, "add -system ocelot"},
-		{[]string{"-shards", "4"}, "add -fleet N"},
-		{[]string{"-shards", "0"}, "add -fleet N"},
-		{[]string{"-fleet-steps", "3"}, "add -fleet N"},
-		{[]string{"-fleet", "-1"}, "must be >= 0"},
-		{[]string{"-fleet", "4", "-shards", "-1"}, "must be >= 0"},
-		{[]string{"-fleet", "4", "-fleet-steps", "0"}, "must be positive"},
-		{[]string{"-fleet", "4", "-chaos"}, "-fleet conflicts"},
-		{[]string{"-fleet", "4", "-show-ir"}, "single one"},
 		{[]string{"-system", "ocelot", "-freshness-bound", "soon"}, "-freshness-bound"},
 		{[]string{"-system", "ocelot", "-freshness-bound", "0s"}, "must be positive"},
 	}

@@ -227,6 +227,12 @@ type Explorer struct {
 	// the per-oracle pass/fail tally. Empty when PostCheck is nil.
 	PostOracles []string
 
+	// Discard, when non-nil, is called once for every framework Build
+	// returned, when the explorer is done with it — the reference run, a
+	// checked point, or a point whose run failed — so state Build keeps
+	// beside the framework can be dropped with it.
+	Discard func(f *core.Framework)
+
 	// Workers is how many crash points to explore concurrently. 0 or 1
 	// explores serially. Each worker replays on its own freshly built
 	// deployment, and point results are aggregated in schedule order, so
@@ -248,6 +254,7 @@ func (e *Explorer) Run() (*ExploreReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.release(f)
 	if e.Window != nil && !e.Bytes {
 		return nil, fmt.Errorf("chaos: Explorer.Window requires Bytes mode")
 	}
@@ -413,7 +420,7 @@ func (e *Explorer) explorePoint(k int, ref Outcome) (PointResult, error) {
 		// A run-level error after an injected crash is an atomicity
 		// violation surfaced as an application error, not a harness bug.
 		pr.Failures = append(pr.Failures, OracleFailure{OracleAtomicity, err.Error()})
-		f.Release()
+		e.release(f)
 		return pr, nil
 	}
 	got := capture(f, rep, e.Keys)
@@ -425,8 +432,17 @@ func (e *Explorer) explorePoint(k int, ref Outcome) (PointResult, error) {
 	// Everything oracle-relevant is copied out of the framework; hand the
 	// NVM image back to the pool for the next point. This is what keeps an
 	// exhaustive sweep from allocating one full FRAM image per crash point.
-	f.Release()
+	e.release(f)
 	return pr, nil
+}
+
+// release returns f's NVM image to the pool (idempotently) and lets Discard
+// drop whatever Build kept for f.
+func (e *Explorer) release(f *core.Framework) {
+	if e.Discard != nil {
+		e.Discard(f)
+	}
+	f.Release()
 }
 
 // judge evaluates the four recovery oracles.

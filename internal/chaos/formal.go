@@ -153,7 +153,7 @@ func NewHealthFormalExplorer(seed int64, budget int) (*Explorer, error) {
 		Budget:      budget,
 		PostOracles: []string{correctness.OracleMemory, correctness.OracleInputs},
 		PostCheck: func(f *core.Framework, ref, got Outcome) []OracleFailure {
-			v, ok := states.LoadAndDelete(f)
+			v, ok := states.Load(f)
 			if !ok {
 				return []OracleFailure{{correctness.OracleMemory, "no tracker attached to the recovered framework"}}
 			}
@@ -176,5 +176,6 @@ func NewHealthFormalExplorer(seed int64, budget int) (*Explorer, error) {
 			}
 			return fails
 		},
+		Discard: func(f *core.Framework) { states.Delete(f) },
 	}, nil
 }

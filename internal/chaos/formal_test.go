@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/correctness"
@@ -73,5 +74,39 @@ func TestGoldenRunWARClean(t *testing.T) {
 	}
 	if set.Len() < 2 {
 		t.Fatalf("golden run reached only %d distinct committed images", set.Len())
+	}
+}
+
+// TestFormalExplorerReuseDoesNotLeak runs one formal explorer repeatedly:
+// the per-build tracker state of every framework it built — the reference
+// run's included — must be dropped with the framework, so the live heap
+// does not grow with the number of runs.
+func TestFormalExplorerReuseDoesNotLeak(t *testing.T) {
+	ex, err := NewHealthFormalExplorer(1, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := ex.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(2) // warm pools and shared compiled state
+	before := liveHeap()
+	run(8)
+	after := liveHeap()
+	runtime.KeepAlive(ex)
+	// A leaked reference run keeps about 90 KB alive per Run.
+	if after > before+256<<10 {
+		t.Errorf("live heap grew from %d to %d bytes over 8 runs of one explorer", before, after)
 	}
 }

@@ -105,6 +105,9 @@ func (c *Capacitor) Charge(p Watts, d simclock.Duration) {
 	if p < 0 {
 		panic(fmt.Sprintf("energy: negative charge power %g", p))
 	}
+	if p == 0 {
+		return // no energy arrives; the round trip below could lower v by one ulp
+	}
 	e := 0.5*c.Capacitance*c.v*c.v + float64(p)*d.Seconds()
 	c.v = math.Sqrt(2 * e / c.Capacitance)
 	if c.v > c.VMax {

@@ -397,3 +397,18 @@ func TestWattsOver(t *testing.T) {
 		t.Fatalf("2mW over 5s = %g J, want 0.01 J", float64(got))
 	}
 }
+
+// A charge at zero power adds no energy, so the voltage stays bit-identical
+// (the energy round trip in Charge used to lower it by one ulp at some
+// voltages, which TestCapacitorMonotonicityProperty caught now and then).
+func TestChargeZeroPowerKeepsVoltage(t *testing.T) {
+	c := mustCapQuick()
+	for i := 0; i < 200 && c.Voltage() > c.VOff; i++ {
+		c.Drain(Microjoules(3))
+		before := c.Voltage()
+		c.Charge(0, simclock.Second)
+		if got := c.Voltage(); got != before {
+			t.Fatalf("drain %d: zero-power charge moved %v V to %v V", i, before, got)
+		}
+	}
+}

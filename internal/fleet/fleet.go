@@ -1,18 +1,17 @@
-// Package fleet is the sharded batch stepping engine: it hosts N simulated
-// intermittent devices — a heterogeneous mix of every example deployment in
-// internal/examplespecs — and advances the whole fleet one step at a time,
-// where one device step is one complete application run (the unit every
-// figure sweep is built from). It is the throughput substrate for
-// fleet-scale what-if analysis: the HTTP fleet server of the roadmap is a
-// thin layer over Engine.
+// Package fleet is the sharded batch stepping engine: it advances a fleet of
+// simulated intermittent devices — any mix of the example deployments in
+// internal/examplespecs — one step at a time, where one device step is one
+// complete application run (the unit every figure sweep is built from). It
+// is the throughput substrate of the fleet server (internal/fleetserver),
+// which owns the device records and passes them to every step.
 //
 // # Sharding and affinity
 //
-// Devices are assigned to shards in contiguous index blocks. Each shard
-// owns its working state exclusively: a shard-local nvm.Pool recycles FRAM
-// images only within the shard (no cross-CPU contention, no interleaving
-// through a shared pool), and the shard's digest scratch and counters are
-// reused across steps. A step schedules one task per shard across
+// Each step splits the device list into contiguous index blocks, one per
+// shard. Each shard owns its working state for the life of the engine: a
+// shard-local nvm.Pool recycles FRAM images only within the shard (no
+// cross-CPU contention, no interleaving through a shared pool), and its
+// counters only grow. A step schedules one task per shard across
 // internal/parallel's bounded worker pool.
 //
 // # Determinism
@@ -29,11 +28,11 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
+	"github.com/tinysystems/artemis-go/internal/ir"
 	"github.com/tinysystems/artemis-go/internal/nvm"
 	"github.com/tinysystems/artemis-go/internal/parallel"
 	"github.com/tinysystems/artemis-go/internal/spec"
@@ -46,257 +45,163 @@ const DefaultMemBytes = 256 * 1024
 
 // Config sizes an engine.
 type Config struct {
-	// Devices is the fleet size. Required unless Members is set.
-	Devices int
-	// Shards is the number of device groups stepped as units; <= 0 means
-	// min(Devices, GOMAXPROCS). The shard count never changes results,
-	// only scheduling granularity.
+	// Shards is the most device groups a step runs as units; <= 0 means
+	// GOMAXPROCS. A step never uses more shards than it has devices. The
+	// shard count never changes results, only scheduling granularity.
 	Shards int
 	// Workers bounds the goroutines stepping shards; <= 0 means one per
 	// CPU. Like Shards, it never changes results.
 	Workers int
-	// Members, when non-nil, places an explicit device list instead of the
-	// round-robin over examplespecs.All(): device i is Members[i], keeping
-	// its given name. This is the dynamic-membership hook the fleet server
-	// uses — it rebuilds (reshards) an engine from its registry snapshot
-	// whenever devices come or go, and the per-device digest independence
-	// means a frozen member list reproduces the same digests at any
-	// Shards/Workers.
-	Members []Member
-	// PostRun, when non-nil, observes every completed device run while the
-	// framework and its FRAM image are still alive — after Framework.Run,
-	// before the outcome digest folds the image hash and the image returns
-	// to the shard pool. Within a shard it is called sequentially in
-	// device-index order (the engine's deterministic drain order); distinct
-	// shards call it concurrently, so the hook must only touch per-index
-	// state or synchronise. State the hook mutates through the framework
-	// (e.g. events injected via core.Framework.InjectEvent) lands in the
-	// image before the hash is taken, so it is digest-covered. A non-nil
-	// error aborts the fleet step like a device failure.
-	PostRun func(index int, name string, f *core.Framework, rep *core.Report) error
 }
 
-// Member is one explicitly-placed fleet device: a display name plus the
-// example deployment it runs.
-type Member struct {
+// Spec is an example deployment prepared for fleet devices: its
+// configuration builder plus the monitor program compiled once and shared
+// by every device running it.
+type Spec struct {
 	Name string
-	Case examplespecs.Case
+	// Injectable reports whether the deployment runs the ARTEMIS runtime,
+	// the only one with monitor replicas external events can reach.
+	Injectable bool
+	build      func() (core.Config, error)
+	compiled   *transform.Result
 }
 
-// device is one fleet member: a case binding plus the per-case compiled
-// monitor program (shared by every device of the same case).
-type device struct {
-	index    int
-	name     string
-	build    func() (core.Config, error)
-	compiled *transform.Result
+// Compile probes the case's configuration once and pre-compiles its monitor
+// specification, so a device step skips the spec parse and transform. A
+// transform.Result is immutable and safe to reuse across topology-identical
+// graphs, which fresh Config() calls produce by construction.
+func Compile(c examplespecs.Case) (*Spec, error) {
+	probe, err := c.Config()
+	if err != nil {
+		return nil, fmt.Errorf("fleet: case %s: %w", c.Name, err)
+	}
+	sp := &Spec{Name: c.Name, Injectable: probe.System == core.Artemis, build: c.Config}
+	if !sp.Injectable || probe.SpecSource == "" || probe.Graph == nil {
+		return sp, nil // camera-style BuildApp cases compile per run
+	}
+	s, err := spec.Parse(probe.SpecSource)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: case %s: %w", c.Name, err)
+	}
+	sp.compiled, err = transform.Compile(s, transform.Options{Graph: probe.Graph, DataVars: probe.StoreKeys})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: case %s: %w", c.Name, err)
+	}
+	return sp, nil
 }
 
-// shard owns a contiguous block of devices and all state their steps touch.
+// Event is one externally-sourced monitor event queued for a device.
+type Event struct {
+	Kind ir.EventKind
+	Task string
+	Data float64
+}
+
+// Device is one fleet member. The caller owns it and passes it to every
+// Step; during a step only its shard worker touches it.
+type Device struct {
+	Name string
+	Spec *Spec
+	// Events are delivered to the device's monitors after its next run,
+	// before its digest is taken, so they are digest-covered. The step
+	// clears the list.
+	Events []Event
+
+	// The outcome of the device's last step, written by its shard worker.
+	// Digest covers the final FRAM image and the run's visible outcome;
+	// Shard is where the device ran; Delivered counts the Events; Verdicts
+	// counts corrective actions by name (run decisions plus verdicts from
+	// the Events); FSM maps each monitor machine to its final state.
+	Digest        uint64
+	Shard         int
+	Completed     bool
+	NonTerminated bool
+	Reboots       uint64
+	EnergyUJ      float64
+	Delivered     uint64
+	Verdicts      map[string]uint64
+	FSM           map[string]string
+}
+
+// shard owns one device block per step and all state its steps touch.
 type shard struct {
-	index   int
-	devices []device
+	index int
 	// pool recycles this shard's FRAM images; nobody else gets them.
 	pool *nvm.Pool
-	// digests is the per-step scratch of device outcome digests, reused
-	// across steps (one slot per device in the shard).
-	digests []uint64
 	// stats accumulates across steps; read back via Engine.ShardStats.
 	stats telemetry.FleetShard
-	// post is Config.PostRun; called sequentially in device-index order
-	// within the shard.
-	post func(index int, name string, f *core.Framework, rep *core.Report) error
 }
 
-// Engine hosts the fleet.
+// Engine steps fleets of caller-owned devices, one step at a time: Step is
+// not safe for concurrent use.
 type Engine struct {
-	shards  []*shard
-	workers int
-	devices int
-	// steps and digest accumulate across Step calls; digest folds every
-	// device digest of every step in (step, device-index) order.
-	steps  uint64
+	maxShards int
+	workers   int
+	// shards grow on demand up to maxShards and live as long as the engine.
+	shards []*shard
+	// digest folds every device digest of every step since the last
+	// ResetDigest, in (step, device-index) order.
 	digest uint64
 }
 
-// New assembles a fleet engine. It builds each distinct case's
-// configuration once to validate it and to pre-compile the monitor
-// specification, so per-step construction skips the spec parse + transform
-// for every device that shares the case (the same sharing sweeps use).
-func New(cfg Config) (*Engine, error) {
-	members := cfg.Members
-	if members == nil {
-		if cfg.Devices <= 0 {
-			return nil, fmt.Errorf("fleet: Devices must be positive, got %d", cfg.Devices)
-		}
-		cases := examplespecs.All()
-		members = make([]Member, cfg.Devices)
-		for i := range members {
-			c := cases[i%len(cases)]
-			members[i] = Member{Name: fmt.Sprintf("%s#%d", c.Name, i), Case: c}
-		}
-	} else {
-		if len(members) == 0 {
-			return nil, fmt.Errorf("fleet: empty member list")
-		}
-		if cfg.Devices != 0 && cfg.Devices != len(members) {
-			return nil, fmt.Errorf("fleet: Devices=%d conflicts with %d Members", cfg.Devices, len(members))
-		}
-	}
-	devices := len(members)
+// New assembles an engine.
+func New(cfg Config) *Engine {
 	shards := cfg.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if shards > devices {
-		shards = devices
-	}
-
-	// One compiled monitor program per distinct case, shared by all its
-	// devices: a transform.Result is immutable and safe to reuse across
-	// topology-identical graphs, which fresh Config() calls produce by
-	// construction.
-	compiled := make(map[string]*transform.Result, 8)
-	probed := make(map[string]bool, 8)
-	for _, m := range members {
-		if probed[m.Case.Name] {
-			continue
-		}
-		probed[m.Case.Name] = true
-		probe, err := m.Case.Config()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: case %s: %w", m.Case.Name, err)
-		}
-		if probe.System != core.Artemis || probe.SpecSource == "" || probe.Graph == nil {
-			continue // camera-style BuildApp cases compile per run
-		}
-		s, err := spec.Parse(probe.SpecSource)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: case %s: %w", m.Case.Name, err)
-		}
-		compiled[m.Case.Name], err = transform.Compile(s, transform.Options{Graph: probe.Graph, DataVars: probe.StoreKeys})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: case %s: %w", m.Case.Name, err)
-		}
-	}
-
-	e := &Engine{workers: cfg.Workers, devices: devices}
-	for s := 0; s < shards; s++ {
-		lo := s * devices / shards
-		hi := (s + 1) * devices / shards
-		sh := &shard{
-			index:   s,
-			devices: make([]device, 0, hi-lo),
-			pool:    nvm.NewPool(DefaultMemBytes),
-			digests: make([]uint64, hi-lo),
-			post:    cfg.PostRun,
-		}
-		for i := lo; i < hi; i++ {
-			m := members[i]
-			sh.devices = append(sh.devices, device{
-				index:    i,
-				name:     m.Name,
-				build:    m.Case.Config,
-				compiled: compiled[m.Case.Name],
-			})
-		}
-		sh.stats = telemetry.FleetShard{Shard: s, Devices: len(sh.devices)}
-		e.shards = append(e.shards, sh)
-	}
-	return e, nil
+	return &Engine{maxShards: shards, workers: cfg.Workers}
 }
 
-// Devices returns the fleet size.
-func (e *Engine) Devices() int { return e.devices }
-
-// ShardCount returns the number of shards.
-func (e *Engine) ShardCount() int { return len(e.shards) }
-
-// Steps returns the number of completed fleet steps.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// Digest returns the cumulative fleet digest: every device outcome of every
-// step, folded in (step, device-index) order. Identical at any shard and
-// worker count.
-func (e *Engine) Digest() uint64 { return e.digest }
+// ResetDigest restarts the cumulative digest, for a caller whose device
+// list changed: a digest describes one device list, not a splice of several.
+func (e *Engine) ResetDigest() { e.digest = 0 }
 
 // StepResult summarises one fleet step.
 type StepResult struct {
 	// DeviceSteps is the number of device runs this step (the fleet size).
 	DeviceSteps int
-	// Digest is the cumulative engine digest after the step.
+	// Digest is the cumulative engine digest after the step: every device
+	// outcome of every step since the last ResetDigest, folded in (step,
+	// device-index) order. Identical at any shard and worker count.
 	Digest uint64
 }
 
-// Step advances every device by one run. Shards step concurrently; devices
-// within a shard step sequentially on the shard's own images. An error
-// (which the example cases never produce) aborts the step and leaves the
-// engine's counters mid-step; the digest is not advanced.
-func (e *Engine) Step(ctx context.Context) (StepResult, error) {
-	_, err := parallel.Map(ctx, e.shards, e.workers,
-		func(ctx context.Context, _ int, sh *shard) (struct{}, error) {
-			return struct{}{}, sh.step(ctx)
+// Step advances every device by one run. The list is split into contiguous
+// blocks, one per shard; shards step concurrently, and devices within a
+// shard step sequentially on the shard's own images. An error (which the
+// example cases never produce) aborts the step and leaves the shard
+// counters and device outcomes mid-step; the digest is not advanced.
+func (e *Engine) Step(ctx context.Context, devices []*Device) (StepResult, error) {
+	n := len(devices)
+	k := min(e.maxShards, n)
+	for len(e.shards) < k {
+		i := len(e.shards)
+		e.shards = append(e.shards, &shard{
+			index: i,
+			pool:  nvm.NewPool(DefaultMemBytes),
+			stats: telemetry.FleetShard{Shard: i},
+		})
+	}
+	for _, sh := range e.shards[k:] {
+		sh.stats.Devices = 0
+	}
+	_, err := parallel.Map(ctx, e.shards[:k], e.workers,
+		func(ctx context.Context, s int, sh *shard) (struct{}, error) {
+			return struct{}{}, sh.step(ctx, devices[s*n/k:(s+1)*n/k])
 		})
 	if err != nil {
 		return StepResult{}, err
 	}
-	for _, sh := range e.shards {
-		for _, d := range sh.digests {
-			e.digest = mix(e.digest, d)
-		}
+	for _, d := range devices {
+		e.digest = mix(e.digest, d.Digest)
 	}
-	e.steps++
-	return StepResult{DeviceSteps: e.devices, Digest: e.digest}, nil
-}
-
-// DeviceInfo describes one hosted device's placement.
-type DeviceInfo struct {
-	// Index is the device's fleet-wide index (digest fold order).
-	Index int
-	// Name is the device's display name (Member.Name, or the generated
-	// case#index name in round-robin mode).
-	Name string
-	// Shard is the shard the device is stepped on.
-	Shard int
-	// LastDigest is the device's outcome digest from the most recent
-	// completed step (zero before the first step).
-	LastDigest uint64
-}
-
-// Snapshot reports the engine's composition and cumulative position: every
-// device with its shard placement and last outcome digest, plus the step
-// and digest counters. The fleet server renders registry views from it and
-// tests freeze it to assert scheduling-independence.
-//
-// Snapshot must not run concurrently with Step: the per-device digests it
-// reads are the shards' step scratch.
-type Snapshot struct {
-	Steps   uint64
-	Digest  uint64
-	Devices []DeviceInfo
-}
-
-// Snapshot captures the current composition; see the Snapshot type.
-func (e *Engine) Snapshot() Snapshot {
-	snap := Snapshot{
-		Steps:   e.steps,
-		Digest:  e.digest,
-		Devices: make([]DeviceInfo, 0, e.devices),
-	}
-	for _, sh := range e.shards {
-		for i := range sh.devices {
-			d := &sh.devices[i]
-			info := DeviceInfo{Index: d.index, Name: d.name, Shard: sh.index}
-			if e.steps > 0 {
-				info.LastDigest = sh.digests[i]
-			}
-			snap.Devices = append(snap.Devices, info)
-		}
-	}
-	return snap
+	return StepResult{DeviceSteps: n, Digest: e.digest}, nil
 }
 
 // ShardStats snapshots every shard's cumulative counters, in shard order.
+// Devices is each shard's block size in the last step. Must not run
+// concurrently with Step.
 func (e *Engine) ShardStats() []telemetry.FleetShard {
 	out := make([]telemetry.FleetShard, len(e.shards))
 	for i, sh := range e.shards {
@@ -305,58 +210,73 @@ func (e *Engine) ShardStats() []telemetry.FleetShard {
 	return out
 }
 
-// WriteMetrics writes the per-shard counters as Prometheus-style text
-// through internal/telemetry's fleet exporter.
-func (e *Engine) WriteMetrics(w io.Writer) error {
-	return telemetry.FleetMetrics(w, e.ShardStats())
-}
-
-// step runs every device of the shard once, in index order.
-func (sh *shard) step(ctx context.Context) error {
-	for i := range sh.devices {
+// step runs every device of the block once, in index order.
+func (sh *shard) step(ctx context.Context, devices []*Device) error {
+	sh.stats.Devices = len(devices)
+	for _, d := range devices {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		d, err := sh.stepDevice(&sh.devices[i])
-		if err != nil {
-			return err
+		if err := sh.stepDevice(d); err != nil {
+			return fmt.Errorf("fleet: %s: %w", d.Name, err)
 		}
-		sh.digests[i] = d
 	}
 	return nil
 }
 
-// stepDevice executes one device run on a shard-owned image and returns the
-// outcome digest.
-func (sh *shard) stepDevice(d *device) (uint64, error) {
-	cfg, err := d.build()
+// stepDevice executes one device run on a shard-owned image, delivers the
+// device's queued events, and writes its outcome.
+func (sh *shard) stepDevice(d *Device) error {
+	cfg, err := d.Spec.build()
 	if err != nil {
-		return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
+		return err
 	}
-	if d.compiled != nil && cfg.Compiled == nil {
-		cfg.Compiled, cfg.SpecSource = d.compiled, ""
+	if d.Spec.compiled != nil && cfg.Compiled == nil {
+		cfg.Compiled, cfg.SpecSource = d.Spec.compiled, ""
 	}
 	if sh.pool.Free() > 0 {
 		sh.stats.Recycled++
 	}
 	mem := sh.pool.Get()
+	defer sh.pool.Put(mem)
 	cfg.Mem = mem
 	f, err := core.New(cfg)
 	if err != nil {
-		sh.pool.Put(mem)
-		return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
+		return err
 	}
 	rep, err := f.Run()
 	if err != nil {
-		sh.pool.Put(mem)
-		return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
+		return err
 	}
-	if sh.post != nil {
-		// The hook sees the live framework before the hash below, so any
-		// monitor state it mutates (injected events) is digest-covered.
-		if err := sh.post(d.index, d.name, f, rep); err != nil {
-			sh.pool.Put(mem)
-			return 0, fmt.Errorf("fleet: %s: %w", d.name, err)
+
+	clear(d.Verdicts)
+	if st := rep.ArtemisStats; st != nil {
+		for a, n := range st.Decisions {
+			if n > 0 {
+				d.verdict(a.String(), uint64(n))
+			}
+		}
+	}
+	// Events land in the image before the hash below, so the monitor
+	// state they change is digest-covered.
+	for _, ev := range d.Events {
+		fs, _, err := f.InjectEvent(ev.Kind, ev.Task, ev.Data)
+		if err != nil {
+			return fmt.Errorf("inject %s(%s): %w", ev.Kind, ev.Task, err)
+		}
+		for _, fail := range fs {
+			d.verdict(fail.Action.String(), 1)
+		}
+	}
+	d.Delivered = uint64(len(d.Events))
+	d.Events = nil
+	clear(d.FSM)
+	if mons := f.Monitors(); mons != nil {
+		if d.FSM == nil {
+			d.FSM = map[string]string{}
+		}
+		for _, m := range mons.Monitors() {
+			d.FSM[m.Machine().Name] = m.State()
 		}
 	}
 
@@ -376,8 +296,22 @@ func (sh *shard) stepDevice(d *device) (uint64, error) {
 	}
 	sh.stats.Steps++
 	sh.stats.Reboots += uint64(rep.Reboots)
-	sh.pool.Put(mem)
-	return digest, nil
+
+	d.Digest = digest
+	d.Shard = sh.index
+	d.Completed = rep.Completed && !rep.NonTerminated
+	d.NonTerminated = rep.NonTerminated
+	d.Reboots = uint64(rep.Reboots)
+	d.EnergyUJ = float64(rep.Energy) * 1e6
+	return nil
+}
+
+// verdict counts n corrective actions of one kind in the device's outcome.
+func (d *Device) verdict(action string, n uint64) {
+	if d.Verdicts == nil {
+		d.Verdicts = map[string]uint64{}
+	}
+	d.Verdicts[action] += n
 }
 
 // mix folds v into d with a splitmix64-style finaliser; non-commutative, so

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,7 +12,28 @@ import (
 	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/ir"
+	"github.com/tinysystems/artemis-go/internal/telemetry"
 )
+
+// mixedFleet compiles every example case once and places n devices over
+// them round-robin, named case#index.
+func mixedFleet(t testing.TB, n int) []*Device {
+	t.Helper()
+	var specs []*Spec
+	for _, c := range examplespecs.All() {
+		sp, err := Compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, sp)
+	}
+	devices := make([]*Device, n)
+	for i := range devices {
+		sp := specs[i%len(specs)]
+		devices[i] = &Device{Name: fmt.Sprintf("%s#%d", sp.Name, i), Spec: sp}
+	}
+	return devices
+}
 
 // TestFleetDigestDeterminism is the engine's core contract: the cumulative
 // fleet digest is byte-identical at any shard count (and, via parallel.Map,
@@ -23,13 +45,12 @@ func TestFleetDigestDeterminism(t *testing.T) {
 	shardCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	var want uint64
 	for i, shards := range shardCounts {
-		e, err := New(Config{Devices: devices, Shards: shards, Workers: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := New(Config{Shards: shards, Workers: 0})
+		fleet := mixedFleet(t, devices)
 		var last StepResult
+		var err error
 		for s := 0; s < steps; s++ {
-			last, err = e.Step(context.Background())
+			last, err = e.Step(context.Background(), fleet)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,18 +58,15 @@ func TestFleetDigestDeterminism(t *testing.T) {
 		if last.DeviceSteps != devices {
 			t.Fatalf("shards=%d: step covered %d devices, want %d", shards, last.DeviceSteps, devices)
 		}
-		if e.Digest() != last.Digest {
-			t.Fatalf("shards=%d: Digest()=%#x but StepResult.Digest=%#x", shards, e.Digest(), last.Digest)
-		}
 		if i == 0 {
-			want = e.Digest()
+			want = last.Digest
 			if want == 0 {
 				t.Fatal("fleet digest is zero — nothing was folded")
 			}
 			continue
 		}
-		if e.Digest() != want {
-			t.Fatalf("shards=%d: digest %#x, want %#x (shards=1)", shards, e.Digest(), want)
+		if last.Digest != want {
+			t.Fatalf("shards=%d: digest %#x, want %#x (shards=1)", shards, last.Digest, want)
 		}
 	}
 }
@@ -56,15 +74,14 @@ func TestFleetDigestDeterminism(t *testing.T) {
 // TestFleetShardStats checks the counters the Prometheus exporter renders:
 // every device step is attributed to exactly one shard, outcomes are
 // partitioned, and after the first step every shard run is served from its
-// own recycled image (shard affinity).
+// own recycled image (shard affinity) — also across a change of the device
+// list, since shards and their pools live as long as the engine.
 func TestFleetShardStats(t *testing.T) {
 	const devices, steps = 6, 3
-	e, err := New(Config{Devices: devices, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := New(Config{Shards: 2})
+	fleet := mixedFleet(t, devices+1)
 	for s := 0; s < steps; s++ {
-		if _, err := e.Step(context.Background()); err != nil {
+		if _, err := e.Step(context.Background(), fleet[:devices]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,20 +105,30 @@ func TestFleetShardStats(t *testing.T) {
 	if want := total - 2; recycled != want {
 		t.Errorf("recycled %d runs from shard pools, want %d", recycled, want)
 	}
+
+	// One more device: the counters carry on from where they were.
+	if _, err := e.Step(context.Background(), fleet); err != nil {
+		t.Fatal(err)
+	}
+	total, recycled = 0, 0
+	for _, sh := range e.ShardStats() {
+		total += sh.Steps
+		recycled += sh.Recycled
+	}
+	if want := uint64(devices*steps + devices + 1); total != want || recycled != want-2 {
+		t.Errorf("after growing the fleet: %d steps, %d recycled; want %d and %d", total, recycled, want, want-2)
+	}
 }
 
 // TestFleetMetricsOutput pins the exporter wiring: per-shard series appear
 // with one sample per shard and deterministic ordering.
 func TestFleetMetricsOutput(t *testing.T) {
-	e, err := New(Config{Devices: 4, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Step(context.Background()); err != nil {
+	e := New(Config{Shards: 2})
+	if _, err := e.Step(context.Background(), mixedFleet(t, 4)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.WriteMetrics(&buf); err != nil {
+	if err := telemetry.FleetMetrics(&buf, e.ShardStats()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -115,7 +142,7 @@ func TestFleetMetricsOutput(t *testing.T) {
 		}
 	}
 	var buf2 bytes.Buffer
-	if err := e.WriteMetrics(&buf2); err != nil {
+	if err := telemetry.FleetMetrics(&buf2, e.ShardStats()); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != buf2.String() {
@@ -123,149 +150,102 @@ func TestFleetMetricsOutput(t *testing.T) {
 	}
 }
 
-// TestFleetStepCancellation cancels the context from the PostRun hook of
-// the first device, mid-shard: Step must return a clean context error and
-// leave the engine's cumulative digest and step counter untouched — no
-// partial fold from the devices that did complete before the cancellation.
+// TestFleetStepCancellation cancels the context while the first device of
+// a shard is being built: Step must return a clean context error and leave
+// the engine's cumulative digest untouched — no partial fold from the
+// device that did complete before the cancellation — so the next step
+// digests exactly as a fresh engine's first step.
 func TestFleetStepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	e, err := New(Config{
-		Devices: 4, Shards: 1, Workers: 1,
-		PostRun: func(index int, _ string, _ *core.Framework, _ *core.Report) error {
-			if index == 0 {
-				cancel() // the shard's next device sees ctx.Err()
-			}
-			return nil
-		},
-	})
+	calls := 0
+	cancelling := examplespecs.Case{Name: "cancelling", Config: func() (core.Config, error) {
+		calls++
+		if calls == 2 { // the first run after Compile's probe
+			cancel() // the shard's next device sees ctx.Err()
+		}
+		return examplespecs.HealthConfig()
+	}}
+	sp, err := Compile(cancelling)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(ctx); !errors.Is(err, context.Canceled) {
+	fleet := make([]*Device, 4)
+	for i := range fleet {
+		fleet[i] = &Device{Name: fmt.Sprint(i), Spec: sp}
+	}
+	e := New(Config{Shards: 1, Workers: 1})
+	if _, err := e.Step(ctx, fleet); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Step under mid-shard cancel returned %v, want context.Canceled", err)
 	}
-	if e.Digest() != 0 {
-		t.Errorf("digest %#x after cancelled step, want 0 (no partial fold)", e.Digest())
-	}
-	if e.Steps() != 0 {
-		t.Errorf("steps %d after cancelled step, want 0", e.Steps())
-	}
 	// The engine is still usable: a fresh context completes the step.
-	if _, err := e.Step(context.Background()); err != nil {
+	got, err := e.Step(context.Background(), fleet)
+	if err != nil {
 		t.Fatalf("Step after recovery: %v", err)
 	}
-	if e.Steps() != 1 || e.Digest() == 0 {
-		t.Errorf("recovered step not folded: steps=%d digest=%#x", e.Steps(), e.Digest())
+	want, err := New(Config{Shards: 1, Workers: 1}).Step(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Digest != want.Digest {
+		t.Errorf("digest %#x after a cancelled step, want %#x (no partial fold)", got.Digest, want.Digest)
 	}
 }
 
-// TestFleetMembersMatchRoundRobin pins the dynamic-membership path to the
-// round-robin path: an explicit Members list naming the same mix must
-// reproduce the same digest, and Snapshot must report the placement.
-func TestFleetMembersMatchRoundRobin(t *testing.T) {
-	const devices = 6
-	rr, err := New(Config{Devices: devices, Shards: 2, Workers: 1})
+// TestFleetEventDigestCoverage proves ingestion is not decorative: one
+// external monitor event queued on a device changes that device's outcome
+// digest, identically at any shard/worker combination, and the step
+// consumes the queue and reports the delivery.
+func TestFleetEventDigestCoverage(t *testing.T) {
+	health, err := Compile(examplespecs.All()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrStep, err := rr.Step(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := examplespecs.All()
-	members := make([]Member, devices)
-	for i := range members {
-		members[i] = Member{Name: cases[i%len(cases)].Name, Case: cases[i%len(cases)]}
-	}
-	em, err := New(Config{Members: members, Shards: 3, Workers: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emStep, err := em.Step(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emStep.Digest != rrStep.Digest {
-		t.Errorf("Members digest %#x != round-robin digest %#x", emStep.Digest, rrStep.Digest)
-	}
-
-	snap := em.Snapshot()
-	if snap.Steps != 1 || snap.Digest != emStep.Digest {
-		t.Errorf("snapshot counters: %+v", snap)
-	}
-	if len(snap.Devices) != devices {
-		t.Fatalf("snapshot has %d devices, want %d", len(snap.Devices), devices)
-	}
-	for i, d := range snap.Devices {
-		if d.Index != i {
-			t.Errorf("snapshot device %d has index %d (want fold order)", i, d.Index)
-		}
-		if d.Name != members[i].Name {
-			t.Errorf("device %d named %q, want %q", i, d.Name, members[i].Name)
-		}
-		if d.LastDigest == 0 {
-			t.Errorf("device %d has zero last digest after a step", i)
-		}
-	}
-}
-
-// TestFleetPostRunDigestCoverage proves ingestion is not decorative: a
-// PostRun hook injecting one external monitor event into a device changes
-// that device's outcome digest, and injecting the same event at any
-// shard/worker combination changes it identically.
-func TestFleetPostRunDigestCoverage(t *testing.T) {
-	health := examplespecs.All()[0]
-	build := func(shards, workers int, inject bool) uint64 {
+	step := func(shards, workers int, inject bool) []*Device {
 		t.Helper()
-		cfg := Config{
-			Members: []Member{{Name: "a", Case: health}, {Name: "b", Case: health}},
-			Shards:  shards, Workers: workers,
-		}
+		fleet := []*Device{{Name: "a", Spec: health}, {Name: "b", Spec: health}}
 		if inject {
-			cfg.PostRun = func(index int, _ string, f *core.Framework, _ *core.Report) error {
-				if index != 0 {
-					return nil
-				}
-				_, _, err := f.InjectEvent(ir.EvStart, "send", 0)
-				return err
-			}
+			fleet[0].Events = []Event{{Kind: ir.EvStart, Task: "send"}}
 		}
-		e, err := New(cfg)
-		if err != nil {
+		if _, err := New(Config{Shards: shards, Workers: workers}).Step(context.Background(), fleet); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Step(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Digest
+		return fleet
 	}
-	plain := build(1, 1, false)
-	injected := build(1, 1, true)
-	if plain == injected {
-		t.Error("injected event did not change the fleet digest")
+	plain := step(1, 1, false)
+	injected := step(1, 1, true)
+	if plain[0].Digest == injected[0].Digest {
+		t.Error("injected event did not change the device digest")
 	}
-	if d := build(2, 0, true); d != injected {
-		t.Errorf("injected digest %#x at shards=2 differs from serial %#x", d, injected)
+	if plain[1].Digest != injected[1].Digest {
+		t.Error("an event for device a changed device b's digest")
+	}
+	if d := step(2, 0, true); d[0].Digest != injected[0].Digest || d[0].Shard != 0 || d[1].Shard != 1 {
+		t.Errorf("injected digest %#x on shard %d at shards=2, serial %#x", d[0].Digest, d[0].Shard, injected[0].Digest)
+	}
+	a := injected[0]
+	if a.Delivered != 1 || a.Events != nil || injected[1].Delivered != 0 {
+		t.Errorf("delivered %d (queue %v), device b %d; want 1, consumed, 0", a.Delivered, a.Events, injected[1].Delivered)
+	}
+	if !a.Completed || len(a.FSM) == 0 {
+		t.Errorf("device outcome missing: completed=%v fsm=%v", a.Completed, a.FSM)
 	}
 }
 
 func TestFleetConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("Devices=0 accepted")
+	broken := examplespecs.Case{Name: "broken", Config: func() (core.Config, error) {
+		return core.Config{}, errors.New("no deployment")
+	}}
+	if _, err := Compile(broken); err == nil {
+		t.Error("a case whose Config fails compiled")
 	}
-	e, err := New(Config{Devices: 2, Shards: 16})
-	if err != nil {
+	e := New(Config{Shards: 16})
+	if res, err := e.Step(context.Background(), nil); err != nil || res != (StepResult{}) {
+		t.Errorf("empty step: %+v, %v", res, err)
+	}
+	if _, err := e.Step(context.Background(), mixedFleet(t, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if e.ShardCount() != 2 {
-		t.Errorf("shards not clamped to device count: %d", e.ShardCount())
-	}
-	if _, err := New(Config{Members: []Member{}}); err == nil {
-		t.Error("empty Members accepted")
-	}
-	if _, err := New(Config{Devices: 3, Members: []Member{{Name: "x", Case: examplespecs.All()[0]}}}); err == nil {
-		t.Error("conflicting Devices and Members accepted")
+	if n := len(e.ShardStats()); n != 2 {
+		t.Errorf("shards not clamped to device count: %d", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"github.com/tinysystems/artemis-go/internal/telemetry"
 )
@@ -104,14 +105,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, statusResponse{Status: "error", Error: "count > 1 requires generated ids (omit id)"})
 		return
 	}
-	states := make([]DeviceState, 0, req.Count)
-	for i := 0; i < req.Count; i++ {
-		st, err := s.Register(req.ID, req.Spec)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		states = append(states, st)
+	states, err := s.register(req.ID, req.Spec, req.Count)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	if len(states) == 1 {
 		writeJSON(w, http.StatusCreated, states[0])
@@ -165,14 +162,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// retryAfterSeconds rounds the step interval up to the 1s floor the
-// Retry-After header can express.
+// retryAfterSeconds rounds the step interval up to the whole seconds the
+// Retry-After header can express, so a client never retries before the
+// step that drains the backlog.
 func retryAfterSeconds(cfg Config) int {
-	secs := int(cfg.StepInterval.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return max(1, int((cfg.StepInterval+time.Second-1)/time.Second))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

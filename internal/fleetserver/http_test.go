@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tinysystems/artemis-go/internal/telemetry"
 )
@@ -237,5 +239,59 @@ func TestHTTPObservability(t *testing.T) {
 	// Unknown paths don't fall through to the dashboard.
 	if rec = doJSON(t, h, "GET", "/nope", nil); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown path: %d, want 404", rec.Code)
+	}
+}
+
+// TestHTTPRegisterBatchAtomic races Shutdown against a maximal batch
+// registration: the batch is registered whole (201) or not at all (503),
+// never cut short with part of it left behind.
+func TestHTTPRegisterBatchAtomic(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		s, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest("POST", "/v1/devices",
+			strings.NewReader(fmt.Sprintf(`{"spec":"health","count":%d}`, maxRegisterCount)))
+		h := s.Handler()
+		done := make(chan int)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			done <- rec.Code
+		}()
+		if i%2 == 1 {
+			// Let the batch start before shutting down.
+			for s.DeviceCount() == 0 {
+				runtime.Gosched()
+			}
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		code := <-done
+		n := s.DeviceCount()
+		if !(code == http.StatusCreated && n == maxRegisterCount) && !(code == http.StatusServiceUnavailable && n == 0) {
+			t.Fatalf("round %d: status %d with %d devices registered; want 201 with %d or 503 with 0",
+				i, code, n, maxRegisterCount)
+		}
+	}
+}
+
+// TestRetryAfterSeconds checks the 429 hint never undershoots the step
+// interval: it rounds up to whole seconds, with a floor of one.
+func TestRetryAfterSeconds(t *testing.T) {
+	for _, c := range []struct {
+		interval time.Duration
+		want     int
+	}{
+		{10 * time.Millisecond, 1},
+		{time.Second, 1},
+		{1500 * time.Millisecond, 2},
+		{2 * time.Second, 2},
+	} {
+		if got := retryAfterSeconds(Config{StepInterval: c.interval}); got != c.want {
+			t.Errorf("interval %v: Retry-After %d, want %d", c.interval, got, c.want)
+		}
 	}
 }

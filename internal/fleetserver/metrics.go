@@ -95,7 +95,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		val        uint64
 	}{
 		{"artemis_fleetserver_steps_total", "Completed fleet steps.", steps},
-		{"artemis_fleetserver_reshards_total", "Engine rebuilds after membership changes.", reshards},
+		{"artemis_fleetserver_reshards_total", "Membership changes applied at a step.", reshards},
 		{"artemis_fleetserver_ingest_batches_total", "Ingestion batches received.", ing.batches},
 		{"artemis_fleetserver_ingest_events_total", "Events accepted onto device queues.", ing.events},
 		{"artemis_fleetserver_ingest_rejected_total", "Events rejected (backpressure or bad batch).", ing.rejected},

@@ -2,32 +2,35 @@ package fleetserver
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+
+	"github.com/tinysystems/artemis-go/internal/fleet"
 )
 
-// device is one registered fleet member. The identity fields are immutable
-// after creation; queue, placement, and stats are guarded by Server.mu.
+// device is one registered fleet member. The embedded fleet.Device is what
+// the engine steps: its Name (the id) and Spec are immutable, and its
+// Events and outcome fields belong to the step in flight — the server
+// touches them only between steps. Everything else is guarded by
+// Server.mu.
 type device struct {
-	id   string
-	spec string
-	idx  int // registration order tiebreak for deterministic listings
+	fleet.Device
 
 	// queue holds ingested events awaiting the next step (bounded by
-	// Config.QueueDepth). The stepping loop takes the whole queue when a
-	// step starts; events ingested during a step wait for the next one.
-	queue []Event
-	// inEngine marks membership in the engine currently installed (and
-	// possibly mid-step); delete acknowledgement waits on it.
-	inEngine bool
-	// shard is the device's placement in the current engine, -1 before the
-	// first reshard includes it.
-	shard int
-	// stats accumulates across steps; applied by the loop after each step.
+	// Config.QueueDepth). A step takes the whole queue when it starts;
+	// events ingested during a step wait for the next one.
+	queue []fleet.Event
+	// stepping marks membership in the step in flight; delete
+	// acknowledgement waits on it.
+	stepping bool
+	// stats accumulates across steps; folded in after each step.
 	stats deviceStats
 }
 
 // deviceStats is a device's cumulative monitoring state.
 type deviceStats struct {
+	// shard is where the device last ran, -1 before its first step.
+	shard           int
 	steps           uint64
 	completed       uint64
 	nonTerminated   uint64
@@ -43,8 +46,8 @@ type deviceStats struct {
 type DeviceState struct {
 	ID   string `json:"id"`
 	Spec string `json:"spec"`
-	// Shard is the device's placement in the current engine (-1 until the
-	// stepping loop reshards it in).
+	// Shard is the shard the device last ran on (-1 before its first
+	// step).
 	Shard int `json:"shard"`
 	// Steps counts completed device runs; Completed and NonTerminated
 	// partition their outcomes.
@@ -69,10 +72,33 @@ type DeviceState struct {
 	LastDigest string `json:"lastDigest"`
 }
 
+// fold adds the outcome of the device's last step to its cumulative state;
+// caller holds s.mu, with no step in flight.
+func (d *device) fold() {
+	st := &d.stats
+	st.shard = d.Shard
+	st.steps++
+	if d.Completed {
+		st.completed++
+	}
+	if d.NonTerminated {
+		st.nonTerminated++
+	}
+	st.reboots += d.Reboots
+	st.energyUJ += d.EnergyUJ
+	st.eventsDelivered += d.Delivered
+	for k, v := range d.Verdicts {
+		st.violations[k] += v
+	}
+	clear(st.fsm)
+	maps.Copy(st.fsm, d.FSM)
+	st.lastDigest = d.Digest
+}
+
 // stateLocked renders the JSON view; caller holds s.mu.
 func (d *device) stateLocked() DeviceState {
 	st := DeviceState{
-		ID: d.id, Spec: d.spec, Shard: d.shard,
+		ID: d.Name, Spec: d.Spec.Name, Shard: d.stats.shard,
 		Steps: d.stats.steps, Completed: d.stats.completed,
 		NonTerminated: d.stats.nonTerminated, Reboots: d.stats.reboots,
 		EnergyUJ:        d.stats.energyUJ,
@@ -97,43 +123,61 @@ func (d *device) stateLocked() DeviceState {
 
 // Register creates a device running the named example spec and returns its
 // state. An empty id generates "<spec>-<n>"; a duplicate id is an error.
-// Registration bumps the membership generation, so the stepping loop
-// reshards before the next step.
+// Registration bumps the membership generation, so the next step's digest
+// starts afresh.
 func (s *Server) Register(id, spec string) (DeviceState, error) {
-	if _, ok := s.specs[spec]; !ok {
-		return DeviceState{}, fmt.Errorf("%w: %q (have %v)", ErrUnknownSpec, spec, s.specNames)
+	states, err := s.register(id, spec, 1)
+	if err != nil {
+		return DeviceState{}, err
+	}
+	return states[0], nil
+}
+
+// register creates count devices of one spec under one lock hold and one
+// generation bump, so a batch is registered whole or not at all. A
+// non-empty id names the only device of a batch of one.
+func (s *Server) register(id, spec string, count int) ([]DeviceState, error) {
+	sp, ok := s.specs[spec]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownSpec, spec, s.specNames)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return DeviceState{}, ErrClosed
+		return nil, ErrClosed
 	}
-	if id == "" {
-		for {
-			s.nextID++
-			id = fmt.Sprintf("%s-%d", spec, s.nextID)
-			if _, taken := s.devices[id]; !taken {
-				break
+	if _, taken := s.devices[id]; taken {
+		return nil, fmt.Errorf("%w: %q", ErrDuplicateID, id)
+	}
+	states := make([]DeviceState, count)
+	for i := range states {
+		name := id
+		if name == "" {
+			for {
+				s.nextID++
+				name = fmt.Sprintf("%s-%d", spec, s.nextID)
+				if _, taken := s.devices[name]; !taken {
+					break
+				}
 			}
 		}
-	} else if _, taken := s.devices[id]; taken {
-		return DeviceState{}, fmt.Errorf("%w: %q", ErrDuplicateID, id)
+		d := &device{
+			Device: fleet.Device{Name: name, Spec: sp},
+			stats:  deviceStats{shard: -1, violations: map[string]uint64{}, fsm: map[string]string{}},
+		}
+		s.devices[name] = d
+		s.order = append(s.order, d)
+		states[i] = d.stateLocked()
 	}
-	d := &device{
-		id: id, spec: spec, idx: len(s.order), shard: -1,
-		stats: deviceStats{violations: map[string]uint64{}, fsm: map[string]string{}},
-	}
-	s.devices[id] = d
-	s.order = append(s.order, d)
 	s.gen++
 	s.cond.Broadcast() // wake a loop idling on an empty registry
-	return d.stateLocked(), nil
+	return states, nil
 }
 
 // Unregister deletes a device. It returns only once the device can no
-// longer be stepped: if the engine holding it is mid-step, the call waits
-// for that step to finish (or for a reshard that excluded the device), so a
-// caller observing the acknowledgement never sees a later step touch it.
+// longer be stepped: if the step in flight holds it, the call waits for
+// that step to finish, so a caller observing the acknowledgement never sees
+// a later step touch it.
 func (s *Server) Unregister(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,7 +193,7 @@ func (s *Server) Unregister(id string) error {
 		}
 	}
 	s.gen++
-	for s.stepping && d.inEngine {
+	for d.stepping {
 		s.cond.Wait()
 	}
 	return nil

@@ -1,15 +1,20 @@
 // Package fleetserver is the serving layer over the sharded fleet stepping
 // engine (internal/fleet): a long-running HTTP service hosting a registry
 // of simulated intermittent devices, batched event ingestion with bounded
-// per-device queues and backpressure, a background loop that reshards the
-// live registry as devices come and go, Prometheus scrape, per-device live
-// state, and a minimal dashboard — the shape that turns the simulator into
-// a system.
+// per-device queues and backpressure, a background loop that steps the live
+// registry as devices come and go, Prometheus scrape, per-device live state,
+// and a minimal dashboard — the shape that turns the simulator into a
+// system.
+//
+// The registry's device records are the engine's devices: each step hands
+// the one engine a copy of the registration-order list, the shard workers
+// write each device's outcome in place, and the step folds the outcomes
+// into the records' cumulative state afterwards.
 //
 // # Determinism
 //
 // A frozen registry snapshot keeps the engine's contract: stepping the same
-// member list with the same queued events reproduces the same
+// device list with the same queued events reproduces the same
 // fleet.Engine digest at any Shards/Workers combination, because every
 // device's run is independent and its queue drains sequentially inside its
 // shard in device-index order. Live mutation (register/unregister between
@@ -26,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tinysystems/artemis-go/internal/core"
 	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/fleet"
 	"github.com/tinysystems/artemis-go/internal/ir"
@@ -50,8 +54,8 @@ var (
 
 // Config sizes a server.
 type Config struct {
-	// Shards and Workers configure every engine the server builds; <= 0
-	// means one per CPU (fleet.Config semantics). Neither changes results.
+	// Shards and Workers configure the server's engine; <= 0 means one per
+	// CPU (fleet.Config semantics). Neither changes results.
 	Shards  int
 	Workers int
 	// QueueDepth bounds each device's ingestion queue; <= 0 means 256.
@@ -87,48 +91,24 @@ type IngestResult struct {
 	Rejected int `json:"rejected"`
 }
 
-// stepResult is the per-engine-index scratch the PostRun hook fills during
-// a step. Each slot is written by exactly one shard worker and read by the
-// loop after the step joins, so no lock is needed.
-type stepResult struct {
-	completed     bool
-	nonTerminated bool
-	reboots       uint64
-	energyUJ      float64
-	delivered     uint64
-	verdicts      map[string]uint64
-	fsm           map[string]string
-}
-
-// specInfo is what the server learns about a spec by probing its Config
-// once at startup: whether external events can be injected (ARTEMIS
-// runtime).
-type specInfo struct {
-	c          examplespecs.Case
-	injectable bool
-}
-
 // Server hosts the fleet behind the registry/ingestion/scrape API.
 type Server struct {
-	cfg       Config
-	specs     map[string]specInfo
+	cfg Config
+	// specs holds every registerable spec, probed and compiled once.
+	specs     map[string]*fleet.Spec
 	specNames []string
+	// engine is only stepped by the one step in flight.
+	engine *fleet.Engine
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// devices and order are the registry; gen counts membership changes.
-	devices map[string]*device
-	order   []*device
-	nextID  uint64
-	gen     uint64
-	// engine is the current reshard (nil before the first step); members
-	// maps engine index -> device; engineGen is the gen it was built from.
-	engine    *fleet.Engine
-	members   []*device
-	engineGen uint64
-	// pending and results are the in-flight step's per-index scratch.
-	pending  [][]Event
-	results  []stepResult
+	// devices and order are the registry; gen counts membership changes,
+	// and stepGen is the gen the last step ran.
+	devices  map[string]*device
+	order    []*device
+	nextID   uint64
+	gen      uint64
+	stepGen  uint64
 	stepping bool
 	closed   bool
 
@@ -136,7 +116,7 @@ type Server struct {
 	// never reads engine internals a shard worker may be mutating.
 	shardStats []telemetry.FleetShard
 	digest     uint64
-	steps      uint64 // fleet steps across all reshards
+	steps      uint64
 	reshards   uint64
 	stepLat    *latencyHist
 	ingest     ingestCounters
@@ -144,9 +124,6 @@ type Server struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-	// stepObserver is a test hook: called with the device id on every
-	// device step, from shard workers.
-	stepObserver func(id string)
 }
 
 type ingestCounters struct {
@@ -174,7 +151,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		specs:    make(map[string]specInfo, len(cases)),
+		specs:    make(map[string]*fleet.Spec, len(cases)),
+		engine:   fleet.New(fleet.Config{Shards: cfg.Shards, Workers: cfg.Workers}),
 		devices:  map[string]*device{},
 		stepLat:  newLatencyHist(),
 		verdicts: map[string]uint64{},
@@ -184,11 +162,11 @@ func New(cfg Config) (*Server, error) {
 		if _, dup := s.specs[c.Name]; dup {
 			return nil, fmt.Errorf("fleetserver: duplicate spec name %q", c.Name)
 		}
-		probe, err := c.Config()
+		sp, err := fleet.Compile(c)
 		if err != nil {
 			return nil, fmt.Errorf("fleetserver: probe spec %q: %w", c.Name, err)
 		}
-		s.specs[c.Name] = specInfo{c: c, injectable: probe.System == core.Artemis}
+		s.specs[c.Name] = sp
 		s.specNames = append(s.specNames, c.Name)
 	}
 	s.specNames = sortSpecNames(s.specNames)
@@ -220,105 +198,30 @@ func (s *Server) Ingest(events []Event) (IngestResult, error) {
 			s.ingest.rejected += uint64(res.Rejected)
 			return res, fmt.Errorf("%w: %q (event %d)", ErrNotFound, ev.Device, i)
 		}
-		if !s.specs[d.spec].injectable {
+		if !d.Spec.Injectable {
 			res.Rejected = len(events) - i
 			s.ingest.rejected += uint64(res.Rejected)
-			return res, fmt.Errorf("%w: %q runs spec %q (event %d)", ErrNotInjectable, ev.Device, d.spec, i)
+			return res, fmt.Errorf("%w: %q runs spec %q (event %d)", ErrNotInjectable, ev.Device, d.Spec.Name, i)
 		}
 		if len(d.queue) >= s.cfg.QueueDepth {
 			res.Rejected = len(events) - i
 			s.ingest.rejected += uint64(res.Rejected)
 			return res, fmt.Errorf("%w: %q at depth %d (event %d)", ErrQueueFull, ev.Device, len(d.queue), i)
 		}
-		d.queue = append(d.queue, ev)
+		kind := ir.EvStart
+		if ev.Kind == "end" {
+			kind = ir.EvEnd
+		}
+		d.queue = append(d.queue, fleet.Event{Kind: kind, Task: ev.Task, Data: ev.Data})
 		res.Accepted++
 		s.ingest.events++
 	}
 	return res, nil
 }
 
-// rebuildLocked reshards the current registry into a fresh engine; caller
-// holds s.mu. The engine digest restarts with the new membership — digests
-// are per registry snapshot, not spliced across reshards.
-func (s *Server) rebuildLocked() error {
-	for _, od := range s.members {
-		od.inEngine = false
-	}
-	members := make([]fleet.Member, len(s.order))
-	for i, d := range s.order {
-		members[i] = fleet.Member{Name: d.id, Case: s.specs[d.spec].c}
-	}
-	eng, err := fleet.New(fleet.Config{
-		Members: members,
-		Shards:  s.cfg.Shards, Workers: s.cfg.Workers,
-		PostRun: s.postRun,
-	})
-	if err != nil {
-		return err
-	}
-	s.engine = eng
-	s.members = append(s.members[:0:0], s.order...)
-	s.pending = make([][]Event, len(s.members))
-	s.results = make([]stepResult, len(s.members))
-	for _, d := range s.members {
-		d.inEngine = true
-	}
-	for _, info := range eng.Snapshot().Devices {
-		s.members[info.Index].shard = info.Shard
-	}
-	s.engineGen = s.gen
-	s.reshards++
-	return nil
-}
-
-// postRun is the engine hook: it runs on the shard workers after each
-// device run, while the framework is live — draining the device's pending
-// events into its monitor replicas (digest-covered, since the engine hashes
-// the image after the hook) and snapshotting the live state the registry
-// API serves. Slots in pending/results are per-index, so no locking.
-func (s *Server) postRun(index int, name string, f *core.Framework, rep *core.Report) error {
-	res := &s.results[index]
-	res.completed = rep.Completed && !rep.NonTerminated
-	res.nonTerminated = rep.NonTerminated
-	res.reboots = uint64(rep.Reboots)
-	res.energyUJ = float64(rep.Energy) * 1e6
-	res.verdicts = map[string]uint64{}
-	if st := rep.ArtemisStats; st != nil {
-		for a, n := range st.Decisions {
-			if n > 0 {
-				res.verdicts[a.String()] += uint64(n)
-			}
-		}
-	}
-	for _, ev := range s.pending[index] {
-		kind := ir.EvStart
-		if ev.Kind == "end" {
-			kind = ir.EvEnd
-		}
-		fs, _, err := f.InjectEvent(kind, ev.Task, ev.Data)
-		if err != nil {
-			return fmt.Errorf("inject %s(%s): %w", ev.Kind, ev.Task, err)
-		}
-		res.delivered++
-		for _, fail := range fs {
-			res.verdicts[fail.Action.String()]++
-		}
-	}
-	res.fsm = map[string]string{}
-	if mons := f.Monitors(); mons != nil {
-		for _, m := range mons.Monitors() {
-			res.fsm[m.Machine().Name] = m.State()
-		}
-	}
-	if s.stepObserver != nil {
-		s.stepObserver(name)
-	}
-	return nil
-}
-
-// StepOnce advances every registered device by one run: reshard if the
-// membership changed, hand each device's queued events to its shard, step
-// the engine, and fold the results back into the registry. An empty
+// StepOnce advances every registered device by one run: wait for any step
+// in flight, hand each device its queued events, step the engine over the
+// registry, and fold the outcomes into the device records. An empty
 // registry is a no-op. Tests and benchmarks drive it directly; the
 // background loop is just StepOnce on a timer.
 func (s *Server) StepOnce(ctx context.Context) (fleet.StepResult, error) {
@@ -335,25 +238,31 @@ func (s *Server) StepOnce(ctx context.Context) (fleet.StepResult, error) {
 // stepLocked runs one step; caller holds s.mu, which is released around the
 // engine step and re-held after.
 func (s *Server) stepLocked(ctx context.Context) (fleet.StepResult, error) {
+	for s.stepping {
+		s.cond.Wait()
+	}
 	if len(s.order) == 0 {
 		return fleet.StepResult{}, nil
 	}
-	if s.engine == nil || s.engineGen != s.gen {
-		if err := s.rebuildLocked(); err != nil {
-			return fleet.StepResult{}, err
-		}
+	if s.stepGen != s.gen {
+		// Digests are per registry snapshot, not spliced across
+		// membership changes.
+		s.engine.ResetDigest()
+		s.stepGen = s.gen
+		s.reshards++
 	}
-	for i, d := range s.members {
-		s.pending[i] = d.queue
-		d.queue = nil
-		s.results[i] = stepResult{}
+	members := append([]*device(nil), s.order...)
+	batch := make([]*fleet.Device, len(members))
+	for i, d := range members {
+		d.Events, d.queue = d.queue, nil
+		d.stepping = true
+		batch[i] = &d.Device
 	}
 	s.stepping = true
-	eng := s.engine
 	s.mu.Unlock()
 
 	start := time.Now()
-	res, err := eng.Step(ctx)
+	res, err := s.engine.Step(ctx, batch)
 	elapsed := time.Since(start)
 
 	s.mu.Lock()
@@ -361,37 +270,26 @@ func (s *Server) stepLocked(ctx context.Context) (fleet.StepResult, error) {
 	if err == nil {
 		s.steps++
 		s.stepLat.observe(elapsed.Seconds())
-		s.shardStats = eng.ShardStats()
+		s.shardStats = s.engine.ShardStats()
 		s.digest = res.Digest
-		snap := eng.Snapshot()
-		for i, d := range s.members {
-			r := &s.results[i]
-			d.stats.steps++
-			if r.completed {
-				d.stats.completed++
-			}
-			if r.nonTerminated {
-				d.stats.nonTerminated++
-			}
-			d.stats.reboots += r.reboots
-			d.stats.energyUJ += r.energyUJ
-			d.stats.eventsDelivered += r.delivered
-			s.ingest.delivered += r.delivered
-			for k, v := range r.verdicts {
-				d.stats.violations[k] += v
+	}
+	for _, d := range members {
+		d.stepping = false
+		if err == nil {
+			s.ingest.delivered += d.Delivered
+			for k, v := range d.Verdicts {
 				s.verdicts[k] += v
 			}
-			d.stats.fsm = r.fsm
-			d.stats.lastDigest = snap.Devices[i].LastDigest
+			d.fold()
 		}
 	}
-	s.cond.Broadcast() // unblock Unregister waiters
+	s.cond.Broadcast() // unblock Unregister and step waiters
 	return res, err
 }
 
 // Start launches the background stepping loop. The loop idles while the
-// registry is empty, reshards whenever membership changed, and paces steps
-// by Config.StepInterval. Stop it with Shutdown.
+// registry is empty and paces steps by Config.StepInterval. Stop it with
+// Shutdown.
 func (s *Server) Start() {
 	s.wg.Add(1)
 	go s.loop()
@@ -455,16 +353,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Steps returns the number of completed fleet steps across all reshards.
+// Steps returns the number of completed fleet steps.
 func (s *Server) Steps() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.steps
 }
 
-// Digest returns the current engine's cumulative digest: the determinism
-// anchor for a frozen registry snapshot (it resets when membership changes
-// reshard the fleet).
+// Digest returns the engine's cumulative digest: the determinism anchor for
+// a frozen registry snapshot (it restarts when membership changes).
 func (s *Server) Digest() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,24 +114,16 @@ func TestServerIngestCoversDigest(t *testing.T) {
 
 // TestServerRegistryLifecycle exercises register/unregister around live
 // steps and pins the delete acknowledgement: once Unregister returns, no
-// later step may touch the device. Run under -race this also checks the
-// loop/registry locking.
+// later step may touch the device, so its record stops changing. Run under
+// -race this also checks the loop/registry locking.
 func TestServerRegistryLifecycle(t *testing.T) {
 	s, err := New(Config{Shards: 2, StepInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	deleted := map[string]bool{}
-	s.stepObserver = func(id string) {
-		mu.Lock()
-		defer mu.Unlock()
-		if deleted[id] {
-			t.Errorf("device %q stepped after its Unregister returned", id)
-		}
-	}
+	deleted := map[*device]uint64{} // record -> steps when deleted
 	s.Start()
-	defer s.Shutdown(context.Background())
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -145,12 +139,18 @@ func TestServerRegistryLifecycle(t *testing.T) {
 				}
 				s.Ingest([]Event{{Device: id, Kind: "start", Task: "send"}})
 				time.Sleep(time.Duration(w+1) * 500 * time.Microsecond)
+				s.mu.Lock()
+				d := s.devices[id]
+				s.mu.Unlock()
 				if err := s.Unregister(id); err != nil {
 					t.Errorf("unregister %s: %v", id, err)
 					return
 				}
+				s.mu.Lock()
+				steps := d.stats.steps
+				s.mu.Unlock()
 				mu.Lock()
-				deleted[id] = true
+				deleted[d] = steps
 				mu.Unlock()
 			}
 		}(w)
@@ -159,27 +159,46 @@ func TestServerRegistryLifecycle(t *testing.T) {
 	if n := s.DeviceCount(); n != 0 {
 		t.Errorf("%d devices left after churn, want 0", n)
 	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for d, steps := range deleted {
+		if d.stats.steps != steps {
+			t.Errorf("device %q stepped %d times after its Unregister returned", d.Name, d.stats.steps-steps)
+		}
+	}
+}
+
+// blockingSpec is the health deployment, except that once armed, its first
+// device build signals stepStarted and then blocks until release closes.
+func blockingSpec(armed *atomic.Bool, stepStarted, release chan struct{}) examplespecs.Case {
+	var once sync.Once
+	return examplespecs.Case{Name: "blocking", Config: func() (core.Config, error) {
+		if armed.Load() {
+			once.Do(func() { close(stepStarted); <-release })
+		}
+		return examplespecs.HealthConfig()
+	}}
 }
 
 // TestServerUnregisterDuringStep pins the ack path through a real mid-step
 // delete: a slow fleet step is in flight when Unregister is called, and the
 // call must block until that step finishes.
 func TestServerUnregisterDuringStep(t *testing.T) {
-	s, err := New(Config{Shards: 1, Workers: 1})
+	var armed atomic.Bool
+	stepStarted := make(chan struct{})
+	release := make(chan struct{})
+	s, err := New(Config{Shards: 1, Workers: 1,
+		Specs: []examplespecs.Case{blockingSpec(&armed, stepStarted, release)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := s.Register(fmt.Sprintf("d%d", i), "health"); err != nil {
+		if _, err := s.Register(fmt.Sprintf("d%d", i), "blocking"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stepStarted := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.stepObserver = func(string) {
-		once.Do(func() { close(stepStarted); <-release })
-	}
+	armed.Store(true)
 	stepDone := make(chan error, 1)
 	go func() {
 		_, err := s.StepOnce(context.Background())
@@ -204,9 +223,9 @@ func TestServerUnregisterDuringStep(t *testing.T) {
 	if err := <-stepDone; err != nil {
 		t.Fatalf("step: %v", err)
 	}
-	// The next step reshards to 3 devices.
-	if _, err := s.StepOnce(context.Background()); err != nil {
-		t.Fatal(err)
+	// The next step runs the 3 devices left.
+	if res, err := s.StepOnce(context.Background()); err != nil || res.DeviceSteps != 3 {
+		t.Fatalf("step after delete: %+v, %v", res, err)
 	}
 	if _, err := s.Device("d3"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("deleted device still visible: %v", err)
@@ -332,5 +351,108 @@ func TestServerEmptyRegistryStep(t *testing.T) {
 	}
 	if s.Steps() != 0 {
 		t.Errorf("empty step counted: %d", s.Steps())
+	}
+}
+
+// TestServerConcurrentSteps steps one server from two goroutines at once:
+// each step waits for the one in flight, so the result is ten whole steps
+// with the digest of ten serial ones (and, under -race, no data race).
+func TestServerConcurrentSteps(t *testing.T) {
+	const devices, perCaller = 8, 5
+	build := func() *Server {
+		s, err := New(Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < devices; i++ {
+			if _, err := s.Register(fmt.Sprintf("d%d", i), "health"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	serial := build()
+	for i := 0; i < 2*perCaller; i++ {
+		if _, err := serial.StepOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := build()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				if _, err := s.StepOnce(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Steps() != 2*perCaller {
+		t.Errorf("%d steps, want %d", s.Steps(), 2*perCaller)
+	}
+	if s.Digest() != serial.Digest() {
+		t.Errorf("concurrent steps digest %#x, serial %#x", s.Digest(), serial.Digest())
+	}
+	for _, st := range s.Devices() {
+		if st.Steps != 2*perCaller {
+			t.Errorf("device %s stepped %d times, want %d", st.ID, st.Steps, 2*perCaller)
+		}
+	}
+}
+
+// TestServerMembershipChangeKeepsShardCounters checks that the shard
+// counters outlive a membership change: one engine steps every registry,
+// so device steps and pool recycles keep counting where they were.
+func TestServerMembershipChangeKeepsShardCounters(t *testing.T) {
+	s, err := New(Config{Shards: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := func() (steps, recycled uint64) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, sh := range s.shardStats {
+			steps += sh.Steps
+			recycled += sh.Recycled
+		}
+		return steps, recycled
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := s.Register(fmt.Sprintf("d%d", i), "health"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.StepOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	steps1, recycled1 := totals()
+	if _, err := s.Register("d6", "health"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StepOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	steps2, recycled2 := totals()
+	// Only each shard's very first run misses its pool.
+	if steps1 != 6 || recycled1 != 4 || steps2 != 13 || recycled2 != 11 {
+		t.Errorf("device steps %d -> %d, recycled %d -> %d; want 6 -> 13 and 4 -> 11",
+			steps1, steps2, recycled1, recycled2)
+	}
+	var b strings.Builder
+	if err := s.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`artemis_fleet_device_steps_total{shard="1"} 7`,
+		"artemis_fleetserver_reshards_total 2",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

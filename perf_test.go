@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/tinysystems/artemis-go/internal/core"
+	"github.com/tinysystems/artemis-go/internal/examplespecs"
 	"github.com/tinysystems/artemis-go/internal/fleet"
 	"github.com/tinysystems/artemis-go/internal/fleetserver"
 	"github.com/tinysystems/artemis-go/internal/freshness"
@@ -112,14 +113,20 @@ func nvmHashOp(testing.TB) func() {
 }
 
 // fleetStepOp returns one serial step of a 16-device fleet of all example
-// specs over 8 shards.
+// specs, placed round-robin, over 8 shards.
 func fleetStepOp(tb testing.TB) func() {
-	eng, err := fleet.New(fleet.Config{Devices: 16, Shards: 8, Workers: 1})
-	if err != nil {
-		tb.Fatal(err)
+	cases := examplespecs.All()
+	devices := make([]*fleet.Device, 16)
+	for i := range devices {
+		sp, err := fleet.Compile(cases[i%len(cases)])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		devices[i] = &fleet.Device{Name: fmt.Sprint(i), Spec: sp}
 	}
+	eng := fleet.New(fleet.Config{Shards: 8, Workers: 1})
 	return func() {
-		if _, err := eng.Step(context.Background()); err != nil {
+		if _, err := eng.Step(context.Background(), devices); err != nil {
 			tb.Fatal(err)
 		}
 	}
