@@ -222,7 +222,7 @@ func run(args []string, w io.Writer) (err error) {
 			// campaign's worker pool, so they are byte-identical at any
 			// -workers count. Written before the pass/fail verdict so a
 			// failing campaign still leaves its artifacts behind.
-			if err := writeChaosTelemetry(*traceOut, *metOut, *flight, *useInteg); err != nil {
+			if err := writeChaosTelemetry(*seed, *traceOut, *metOut, *flight, *useInteg); err != nil {
 				return err
 			}
 		}
@@ -411,30 +411,16 @@ func writeTelemetry(f *core.Framework, tracePath, metricsPath string) error {
 	return nil
 }
 
-// writeChaosTelemetry runs one instrumented health deployment on the flip
-// campaign's intermittent supply (800 µJ boots, 1 s recharge) and exports
-// its artifacts. Serial and RNG-free, so the output never depends on the
-// campaign's -workers fan-out.
-func writeChaosTelemetry(tracePath, metricsPath string, flightDepth int, withIntegrity bool) error {
+// writeChaosTelemetry runs one instrumented health deployment built by the
+// flip campaign's own configuration (its intermittent supply and integrity
+// settings; flight depth 64 unless -flight sets one), without injecting a
+// flip, and exports its artifacts. Serial and RNG-free, so the output never
+// depends on the campaign's -workers fan-out.
+func writeChaosTelemetry(seed int64, tracePath, metricsPath string, flightDepth int, withIntegrity bool) error {
 	if flightDepth == 0 {
 		flightDepth = 64
 	}
-	app := health.New()
-	cfg := core.Config{
-		System:      core.Artemis,
-		Graph:       app.Graph,
-		StoreKeys:   health.Keys(),
-		SpecSource:  health.SpecSource,
-		Supply:      core.SupplyConfig{Kind: core.SupplyFixedDelay, BudgetUJ: 800, Delay: simclock.Second},
-		Telemetry:   true,
-		FlightDepth: flightDepth,
-	}
-	if withIntegrity {
-		cfg.Integrity = true
-		cfg.ScrubInterval = 50 * simclock.Millisecond
-		cfg.WatchdogLimit = 8
-	}
-	f, err := core.New(cfg)
+	f, err := chaos.NewHealthFlipCampaign(seed, 1, withIntegrity, flightDepth).Build()
 	if err != nil {
 		return err
 	}

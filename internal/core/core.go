@@ -204,7 +204,7 @@ type Config struct {
 	// Telemetry enables the structured event tracer (ARTEMIS and Ocelot):
 	// device boots/power failures, task lifecycle, monitor transitions,
 	// actions, integrity repairs, and freshness enforcement, exportable as
-	// Chrome trace JSON, JSONL, and Prometheus-style metrics. Off by
+	// Chrome trace JSON and Prometheus-style metrics. Off by
 	// default — the disabled path is allocation-free and perturbs neither
 	// write counts nor energy.
 	Telemetry bool

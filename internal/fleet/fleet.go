@@ -62,20 +62,40 @@ type Spec struct {
 	// Injectable reports whether the deployment runs the ARTEMIS runtime,
 	// the only one with monitor replicas external events can reach.
 	Injectable bool
-	build      func() (core.Config, error)
-	compiled   *transform.Result
+	// tasks names every task of the deployment's graph.
+	tasks    map[string]bool
+	build    func() (core.Config, error)
+	compiled *transform.Result
 }
 
-// Compile probes the case's configuration once and pre-compiles its monitor
-// specification, so a device step skips the spec parse and transform. A
-// transform.Result is immutable and safe to reuse across topology-identical
-// graphs, which fresh Config() calls produce by construction.
+// HasTask reports whether the deployment's graph has the named task, the
+// only tasks an external event may refer to.
+func (s *Spec) HasTask(name string) bool { return s.tasks[name] }
+
+// Compile probes the case's configuration once, records its task names and
+// pre-compiles its monitor specification, so a device step skips the spec
+// parse and transform. A transform.Result is immutable and safe to reuse
+// across topology-identical graphs, which fresh Config() calls produce by
+// construction.
 func Compile(c examplespecs.Case) (*Spec, error) {
 	probe, err := c.Config()
 	if err != nil {
 		return nil, fmt.Errorf("fleet: case %s: %w", c.Name, err)
 	}
-	sp := &Spec{Name: c.Name, Injectable: probe.System == core.Artemis, build: c.Config}
+	sp := &Spec{Name: c.Name, Injectable: probe.System == core.Artemis, build: c.Config, tasks: map[string]bool{}}
+	graph := probe.Graph
+	if graph == nil && probe.BuildApp != nil {
+		// A BuildApp case builds its graph against a device image; a
+		// throwaway one is enough to name the tasks.
+		if graph, _, err = probe.BuildApp(nvm.New(DefaultMemBytes)); err != nil {
+			return nil, fmt.Errorf("fleet: case %s: %w", c.Name, err)
+		}
+	}
+	if graph != nil {
+		for _, name := range graph.TaskNames() {
+			sp.tasks[name] = true
+		}
+	}
 	if !sp.Injectable || probe.SpecSource == "" || probe.Graph == nil {
 		return sp, nil // camera-style BuildApp cases compile per run
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -293,5 +294,54 @@ func TestRetryAfterSeconds(t *testing.T) {
 		if got := retryAfterSeconds(Config{StepInterval: c.interval}); got != c.want {
 			t.Errorf("interval %v: Retry-After %d, want %d", c.interval, got, c.want)
 		}
+	}
+}
+
+// TestHTTPIngestUnknownTask checks an event naming a task the device's
+// graph does not have is a bad batch: 400, rejected, and nothing queued,
+// while an unknown device still answers 404. Camera builds its graph per
+// run, so its task names come from a throwaway build at Compile.
+func TestHTTPIngestUnknownTask(t *testing.T) {
+	s, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, spec := range []string{"health", "camera"} {
+		if rec := doJSON(t, h, "POST", "/v1/devices", registerRequest{ID: spec, Spec: spec}); rec.Code != http.StatusCreated {
+			t.Fatal(rec.Body.String())
+		}
+	}
+	rec := doJSON(t, h, "POST", "/v1/events:batch", batchRequest{Events: []Event{
+		{Device: "health", Kind: "start", Task: "send"},
+		{Device: "health", Kind: "start", Task: "no-such-task"},
+	}})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("unknown task: %d, want 400 (%s)", rec.Code, rec.Body)
+	}
+	var res IngestResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted != 1 || res.Rejected != 1 {
+		t.Errorf("accepted/rejected = %d/%d, want 1/1", res.Accepted, res.Rejected)
+	}
+	if st, _ := s.Device("health"); st.QueueDepth != 1 {
+		t.Errorf("queue depth %d after the rejected event, want 1", st.QueueDepth)
+	}
+	if rec := doJSON(t, h, "POST", "/v1/events:batch", batchRequest{Events: []Event{{Device: "ghost", Kind: "start", Task: "no-such-task"}}}); rec.Code != http.StatusNotFound {
+		t.Errorf("unknown device and task: %d, want 404", rec.Code)
+	}
+	if _, err := s.Ingest([]Event{{Device: "camera", Kind: "start", Task: "send"}}); !errors.Is(err, ErrUnknownTask) {
+		t.Errorf("camera has no send task: %v, want ErrUnknownTask", err)
+	}
+	if rec := doJSON(t, h, "POST", "/v1/events:batch", batchRequest{Events: []Event{{Device: "camera", Kind: "end", Task: "capture"}}}); rec.Code != http.StatusOK {
+		t.Errorf("camera task: %d, want 200 (%s)", rec.Code, rec.Body)
+	}
+	if _, err := s.StepOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.Device("camera"); st.EventsDelivered != 1 {
+		t.Errorf("camera delivered %d events, want 1", st.EventsDelivered)
 	}
 }

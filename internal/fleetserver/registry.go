@@ -20,6 +20,10 @@ type device struct {
 	// Config.QueueDepth). A step takes the whole queue when it starts;
 	// events ingested during a step wait for the next one.
 	queue []fleet.Event
+	// taken is the queue the step in flight took; a failed step puts it
+	// back at the queue's front, which can leave the queue above
+	// Config.QueueDepth until the next step drains it.
+	taken []fleet.Event
 	// stepping marks membership in the step in flight; delete
 	// acknowledgement waits on it.
 	stepping bool

@@ -50,6 +50,9 @@ var (
 	// the ARTEMIS runtime (no monitor replicas to deliver to). Caught at
 	// ingestion so a bad batch can never fail a fleet step mid-shard.
 	ErrNotInjectable = errors.New("fleetserver: device spec does not accept external events")
+	// ErrUnknownTask rejects events naming a task the device's graph does
+	// not have.
+	ErrUnknownTask = errors.New("fleetserver: no such task")
 )
 
 // Config sizes a server.
@@ -118,7 +121,7 @@ type Server struct {
 	digest     uint64
 	steps      uint64
 	reshards   uint64
-	stepLat    *latencyHist
+	stepLat    *telemetry.Histogram
 	ingest     ingestCounters
 	verdicts   map[string]uint64
 
@@ -154,7 +157,7 @@ func New(cfg Config) (*Server, error) {
 		specs:    make(map[string]*fleet.Spec, len(cases)),
 		engine:   fleet.New(fleet.Config{Shards: cfg.Shards, Workers: cfg.Workers}),
 		devices:  map[string]*device{},
-		stepLat:  newLatencyHist(),
+		stepLat:  telemetry.NewHistogram(latencyBuckets),
 		verdicts: map[string]uint64{},
 		stop:     make(chan struct{}),
 	}
@@ -175,9 +178,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Ingest queues a batch of events onto their devices' bounded queues, in
-// batch order. It stops at the first failure — an unknown device or a full
-// queue — and reports how far it got; the error tells the caller whether to
-// retry later (ErrQueueFull) or fix the batch (ErrNotFound).
+// batch order. It stops at the first failure — a bad kind, an unknown
+// device or task, a device that takes no events, or a full queue — and
+// reports how far it got; the error tells the caller whether to retry later
+// (ErrQueueFull) or fix the batch (any other).
 func (s *Server) Ingest(events []Event) (IngestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -187,26 +191,24 @@ func (s *Server) Ingest(events []Event) (IngestResult, error) {
 	s.ingest.batches++
 	var res IngestResult
 	for i, ev := range events {
-		if ev.Kind != "start" && ev.Kind != "end" {
-			res.Rejected = len(events) - i
-			s.ingest.rejected += uint64(res.Rejected)
-			return res, fmt.Errorf("fleetserver: event %d: kind %q (want start or end)", i, ev.Kind)
-		}
 		d, ok := s.devices[ev.Device]
-		if !ok {
-			res.Rejected = len(events) - i
-			s.ingest.rejected += uint64(res.Rejected)
-			return res, fmt.Errorf("%w: %q (event %d)", ErrNotFound, ev.Device, i)
+		var err error
+		switch {
+		case ev.Kind != "start" && ev.Kind != "end":
+			err = fmt.Errorf("fleetserver: kind %q (want start or end)", ev.Kind)
+		case !ok:
+			err = fmt.Errorf("%w: %q", ErrNotFound, ev.Device)
+		case !d.Spec.Injectable:
+			err = fmt.Errorf("%w: %q runs spec %q", ErrNotInjectable, ev.Device, d.Spec.Name)
+		case !d.Spec.HasTask(ev.Task):
+			err = fmt.Errorf("%w: %q on %q (spec %q)", ErrUnknownTask, ev.Task, ev.Device, d.Spec.Name)
+		case len(d.queue) >= s.cfg.QueueDepth:
+			err = fmt.Errorf("%w: %q at depth %d", ErrQueueFull, ev.Device, len(d.queue))
 		}
-		if !d.Spec.Injectable {
+		if err != nil {
 			res.Rejected = len(events) - i
 			s.ingest.rejected += uint64(res.Rejected)
-			return res, fmt.Errorf("%w: %q runs spec %q (event %d)", ErrNotInjectable, ev.Device, d.Spec.Name, i)
-		}
-		if len(d.queue) >= s.cfg.QueueDepth {
-			res.Rejected = len(events) - i
-			s.ingest.rejected += uint64(res.Rejected)
-			return res, fmt.Errorf("%w: %q at depth %d (event %d)", ErrQueueFull, ev.Device, len(d.queue), i)
+			return res, fmt.Errorf("%w (event %d)", err, i)
 		}
 		kind := ir.EvStart
 		if ev.Kind == "end" {
@@ -254,7 +256,8 @@ func (s *Server) stepLocked(ctx context.Context) (fleet.StepResult, error) {
 	members := append([]*device(nil), s.order...)
 	batch := make([]*fleet.Device, len(members))
 	for i, d := range members {
-		d.Events, d.queue = d.queue, nil
+		d.taken, d.queue = d.queue, nil
+		d.Events = d.taken
 		d.stepping = true
 		batch[i] = &d.Device
 	}
@@ -269,7 +272,7 @@ func (s *Server) stepLocked(ctx context.Context) (fleet.StepResult, error) {
 	s.stepping = false
 	if err == nil {
 		s.steps++
-		s.stepLat.observe(elapsed.Seconds())
+		s.stepLat.Observe(elapsed.Seconds())
 		s.shardStats = s.engine.ShardStats()
 		s.digest = res.Digest
 	}
@@ -281,7 +284,12 @@ func (s *Server) stepLocked(ctx context.Context) (fleet.StepResult, error) {
 				s.verdicts[k] += v
 			}
 			d.fold()
+		} else {
+			// Nothing of a failed step is folded, so its events go back
+			// ahead of any ingested since, for the next step to deliver.
+			d.queue = append(d.taken, d.queue...)
 		}
+		d.taken = nil
 	}
 	s.cond.Broadcast() // unblock Unregister and step waiters
 	return res, err

@@ -456,3 +456,97 @@ func TestServerMembershipChangeKeepsShardCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestServerFailedStepKeepsEvents checks an acknowledged event survives a
+// failed step: the step folds nothing and returns the event to the queue,
+// and the next step delivers it once.
+func TestServerFailedStepKeepsEvents(t *testing.T) {
+	s, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register("d", "health"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest([]Event{{Device: "d", Kind: "start", Task: "send"}}); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.StepOnce(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("step with a cancelled context: %v, want context.Canceled", err)
+	}
+	if st, _ := s.Device("d"); st.QueueDepth != 1 || st.EventsDelivered != 0 || st.Steps != 0 {
+		t.Errorf("after the failed step: queue %d, delivered %d, steps %d; want 1, 0, 0",
+			st.QueueDepth, st.EventsDelivered, st.Steps)
+	}
+	if _, err := s.StepOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.Device("d"); st.QueueDepth != 0 || st.EventsDelivered != 1 {
+		t.Errorf("after the next step: queue %d, delivered %d; want 0, 1", st.QueueDepth, st.EventsDelivered)
+	}
+	var b strings.Builder
+	if err := s.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"artemis_fleetserver_ingest_events_total 1\n",
+		"artemis_fleetserver_ingest_delivered_total 1\n",
+		"artemis_fleetserver_steps_total 1\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestServerMidStepFailureKeepsEvents fails a step after its first device
+// has run and taken its events: every member's events still go back to its
+// queue, and the next step delivers each exactly once.
+func TestServerMidStepFailureKeepsEvents(t *testing.T) {
+	var armed atomic.Bool
+	stepStarted := make(chan struct{})
+	release := make(chan struct{})
+	s, err := New(Config{Shards: 1, Workers: 1,
+		Specs: []examplespecs.Case{blockingSpec(&armed, stepStarted, release)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"d0", "d1"} {
+		if _, err := s.Register(id, "blocking"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ingest([]Event{{Device: id, Kind: "start", Task: "send"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	stepDone := make(chan error, 1)
+	go func() {
+		_, err := s.StepOnce(ctx)
+		stepDone <- err
+	}()
+	<-stepStarted // d0's run is under way; d1 has not started
+	cancel()
+	close(release)
+	if err := <-stepDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("step cancelled mid-way: %v, want context.Canceled", err)
+	}
+	if _, err := s.StepOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"d0", "d1"} {
+		if st, _ := s.Device(id); st.QueueDepth != 0 || st.EventsDelivered != 1 || st.Steps != 1 {
+			t.Errorf("%s: queue %d, delivered %d, steps %d; want 0, 1, 1", id, st.QueueDepth, st.EventsDelivered, st.Steps)
+		}
+	}
+	var b strings.Builder
+	if err := s.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "artemis_fleetserver_ingest_delivered_total 2\n") {
+		t.Errorf("metrics do not count 2 deliveries:\n%s", b.String())
+	}
+}

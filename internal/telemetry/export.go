@@ -153,50 +153,6 @@ func meta(tid int, name string) chromeEvent {
 		Args: map[string]any{"name": name}}
 }
 
-// jsonlEvent is the line schema of WriteJSONL. Field order is fixed by the
-// struct, so output is deterministic.
-type jsonlEvent struct {
-	Seq  uint64 `json:"seq"`
-	AtUS int64  `json:"at_us"`
-	Kind string `json:"kind"`
-	Name string `json:"name,omitempty"`
-	Aux  string `json:"aux,omitempty"`
-	A    int64  `json:"a,omitempty"`
-	Data any    `json:"data,omitempty"`
-}
-
-// WriteJSONL writes the volatile event log as one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return fmt.Errorf("telemetry: WriteJSONL on disabled tracer")
-	}
-	for _, ev := range t.events {
-		line := jsonlEvent{
-			Seq:  ev.Seq,
-			AtUS: int64(ev.At),
-			Kind: ev.Kind.String(),
-			Name: t.NameOf(ev.Name),
-			Aux:  t.NameOf(ev.Aux),
-			A:    ev.A,
-		}
-		if ev.Kind == KindMonitorTransition {
-			line.A = 0
-			line.Data = t.NameOf(int32(ev.A)) // from-state, resolved
-		} else if ev.Data != 0 {
-			line.Data = jsonFloat(ev.Data)
-		}
-		enc, err := json.Marshal(line)
-		if err != nil {
-			return err
-		}
-		enc = append(enc, '\n')
-		if _, err := w.Write(enc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FlightDump renders the last committed flight-recorder image as text —
 // what a post-mortem boot would recover from NVM. Chaos campaigns attach
 // this to unrecoverable fault outcomes.

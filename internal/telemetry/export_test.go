@@ -87,32 +87,6 @@ func TestChromeTraceValidDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	tr := New()
-	populate(tr)
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != tr.EventCount() {
-		t.Fatalf("%d lines for %d events", len(lines), tr.EventCount())
-	}
-	for i, line := range lines {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("line %d invalid JSON: %v", i, err)
-		}
-		if obj["seq"] != float64(i+1) {
-			t.Fatalf("line %d: seq %v, want %d", i, obj["seq"], i+1)
-		}
-	}
-	// The monitor transition resolves its from-state into data.
-	if !strings.Contains(buf.String(), `"kind":"monitorTransition","name":"maxTries_sense","aux":"s1","data":"s0"`) {
-		t.Fatalf("monitorTransition line not resolved:\n%s", buf.String())
-	}
-}
-
 func TestMetricsFormat(t *testing.T) {
 	tr := New()
 	populate(tr)
@@ -163,15 +137,6 @@ func TestJSONFloatNonFinite(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("trace with non-finite floats is invalid JSON")
-	}
-	buf.Reset()
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL with non-finite floats: %v", err)
-	}
-	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("JSONL line invalid: %s", line)
-		}
 	}
 }
 
@@ -246,15 +211,6 @@ func FuzzChromeTrace(f *testing.F) {
 		}
 		if !json.Valid(buf.Bytes()) {
 			t.Fatalf("invalid trace JSON for ops %v", ops)
-		}
-		buf.Reset()
-		if err := tr.WriteJSONL(&buf); err != nil {
-			t.Fatalf("WriteJSONL: %v", err)
-		}
-		for _, line := range bytes.Split(bytes.TrimRight(buf.Bytes(), "\n"), []byte("\n")) {
-			if len(line) > 0 && !json.Valid(line) {
-				t.Fatalf("invalid JSONL line %s", line)
-			}
 		}
 		buf.Reset()
 		if err := tr.Metrics(&buf); err != nil {

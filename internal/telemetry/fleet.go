@@ -1,8 +1,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 )
 
 // FleetShard is one fleet shard's cumulative counters, exported through
@@ -29,25 +29,28 @@ type FleetShard struct {
 // FleetMetrics writes a Prometheus-style text snapshot of the fleet's
 // per-shard counters, in shard order. Output is fully deterministic.
 func FleetMetrics(w io.Writer, shards []FleetShard) error {
-	series := func(name, help string, value func(FleetShard) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	p := NewPromWriter(w)
+	for _, f := range []struct {
+		name, help, typ string
+		value           func(FleetShard) uint64
+	}{
+		{"artemis_fleet_shard_devices", "Devices hosted per shard.", "gauge",
+			func(s FleetShard) uint64 { return uint64(s.Devices) }},
+		{"artemis_fleet_device_steps_total", "Device runs executed per shard.", "counter",
+			func(s FleetShard) uint64 { return s.Steps }},
+		{"artemis_fleet_completed_total", "Device runs that completed per shard.", "counter",
+			func(s FleetShard) uint64 { return s.Completed }},
+		{"artemis_fleet_nonterminated_total", "Device runs that exhausted their reboot or step budget per shard.", "counter",
+			func(s FleetShard) uint64 { return s.NonTerminated }},
+		{"artemis_fleet_reboots_total", "Device reboots observed per shard.", "counter",
+			func(s FleetShard) uint64 { return s.Reboots }},
+		{"artemis_fleet_pool_recycled_total", "Device runs served from the shard's recycled FRAM images.", "counter",
+			func(s FleetShard) uint64 { return s.Recycled }},
+	} {
+		p.family(f.name, f.help, f.typ)
 		for _, s := range shards {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, s.Shard, value(s))
+			p.sample(f.name, "shard", strconv.Itoa(s.Shard), f.value(s))
 		}
 	}
-	fmt.Fprintf(w, "# HELP artemis_fleet_shard_devices Devices hosted per shard.\n# TYPE artemis_fleet_shard_devices gauge\n")
-	for _, s := range shards {
-		fmt.Fprintf(w, "artemis_fleet_shard_devices{shard=\"%d\"} %d\n", s.Shard, s.Devices)
-	}
-	series("artemis_fleet_device_steps_total", "Device runs executed per shard.",
-		func(s FleetShard) uint64 { return s.Steps })
-	series("artemis_fleet_completed_total", "Device runs that completed per shard.",
-		func(s FleetShard) uint64 { return s.Completed })
-	series("artemis_fleet_nonterminated_total", "Device runs that exhausted their reboot or step budget per shard.",
-		func(s FleetShard) uint64 { return s.NonTerminated })
-	series("artemis_fleet_reboots_total", "Device reboots observed per shard.",
-		func(s FleetShard) uint64 { return s.Reboots })
-	series("artemis_fleet_pool_recycled_total", "Device runs served from the shard's recycled FRAM images.",
-		func(s FleetShard) uint64 { return s.Recycled })
-	return nil
+	return p.Err()
 }

@@ -6,8 +6,8 @@
 // Two views of the same event stream coexist:
 //
 //   - The volatile log: every event ever emitted, kept in host memory. This
-//     is the omniscient simulation trace the exporters (Chrome trace JSON,
-//     JSONL, Prometheus-style metrics) render; like Config.OnDecision it
+//     is the omniscient simulation trace the two exporters (Chrome trace
+//     JSON, Prometheus-style metrics) render; like Config.OnDecision it
 //     sees even the events a power failure wiped before they persisted.
 //   - The flight recorder: a bounded ring of recent events persisted in NVM
 //     through the same two-phase CommitGroup machinery the runtime commits
